@@ -55,17 +55,16 @@ pub(crate) fn warp_rows_body<T: Scalar>(
     if list_base >= n {
         return;
     }
-    let groups_per_warp = WARP / group;
+    // `group` is a power of two ≤ 32 (asserted by the launchers), so
+    // lane → group and lane → offset-in-group are a shift and a mask.
+    let gshift = group.trailing_zeros();
+    let gmask = group - 1;
+    let groups_per_warp = WARP >> gshift;
     let live_groups = (n - list_base).min(groups_per_warp);
-    let mut mask = 0u32;
-    for lane in 0..WARP {
-        if lane / group < live_groups {
-            mask |= 1 << lane;
-        }
-    }
+    let mask = gpu_sim::lane_mask(live_groups << gshift);
     // Every lane of a group reads its group's list slot (one transaction).
     let lidx: [usize; WARP] =
-        std::array::from_fn(|l| (list_base + (l / group).min(live_groups - 1)).min(n - 1));
+        std::array::from_fn(|l| (list_base + (l >> gshift).min(live_groups - 1)).min(n - 1));
     let rows = warp.gather(rows_list, &lidx, mask);
     let ridx: [usize; WARP] = std::array::from_fn(|l| rows[l] as usize);
     let starts = warp.gather(&mat.row_start, &ridx, mask);
@@ -77,18 +76,15 @@ pub(crate) fn warp_rows_body<T: Scalar>(
     }
     let mut acc = [T::ZERO; WARP];
     for it in 0..iters {
+        // Branchless: inactive lanes' indices are never read.
         let mut it_mask = 0u32;
         let mut idx = [0usize; WARP];
         for lane in 0..WARP {
-            if mask >> lane & 1 == 0 {
-                continue;
-            }
-            let o = it * group + lane % group;
-            if o < lens[lane] as usize {
-                it_mask |= 1 << lane;
-                idx[lane] = starts[lane] as usize + o;
-            }
+            let o = it * group + (lane & gmask);
+            it_mask |= u32::from(o < lens[lane] as usize) << lane;
+            idx[lane] = starts[lane] as usize + o;
         }
+        it_mask &= mask;
         if it_mask == 0 {
             continue;
         }
@@ -176,16 +172,15 @@ pub(crate) fn warp_rows_body_multi<T: Scalar>(
         return;
     }
     let k = xs.len();
-    let groups_per_warp = WARP / group;
+    // `group` is a power of two ≤ 32 (asserted by the launchers), so
+    // lane → group and lane → offset-in-group are a shift and a mask.
+    let gshift = group.trailing_zeros();
+    let gmask = group - 1;
+    let groups_per_warp = WARP >> gshift;
     let live_groups = (n - list_base).min(groups_per_warp);
-    let mut mask = 0u32;
-    for lane in 0..WARP {
-        if lane / group < live_groups {
-            mask |= 1 << lane;
-        }
-    }
+    let mask = gpu_sim::lane_mask(live_groups << gshift);
     let lidx: [usize; WARP] =
-        std::array::from_fn(|l| (list_base + (l / group).min(live_groups - 1)).min(n - 1));
+        std::array::from_fn(|l| (list_base + (l >> gshift).min(live_groups - 1)).min(n - 1));
     let rows = warp.gather(rows_list, &lidx, mask);
     let ridx: [usize; WARP] = std::array::from_fn(|l| rows[l] as usize);
     let starts = warp.gather(&mat.row_start, &ridx, mask);
@@ -197,18 +192,15 @@ pub(crate) fn warp_rows_body_multi<T: Scalar>(
     }
     let mut accs = vec![[T::ZERO; WARP]; k];
     for it in 0..iters {
+        // Branchless: inactive lanes' indices are never read.
         let mut it_mask = 0u32;
         let mut idx = [0usize; WARP];
         for lane in 0..WARP {
-            if mask >> lane & 1 == 0 {
-                continue;
-            }
-            let o = it * group + lane % group;
-            if o < lens[lane] as usize {
-                it_mask |= 1 << lane;
-                idx[lane] = starts[lane] as usize + o;
-            }
+            let o = it * group + (lane & gmask);
+            it_mask |= u32::from(o < lens[lane] as usize) << lane;
+            idx[lane] = starts[lane] as usize + o;
         }
+        it_mask &= mask;
         if it_mask == 0 {
             continue;
         }

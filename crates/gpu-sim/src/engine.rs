@@ -58,6 +58,14 @@
 //! sees exactly the access stream SM `s`'s cache sees in a fully
 //! sequential walk, so child grids reuse the lines earlier kernels of
 //! the same launch group already pulled.
+//!
+//! ## Launch replay
+//!
+//! [`Device::replay_scope`] memoizes the assembled reports of a launch
+//! sequence under a caller key; later runs under the key execute their
+//! kernels in values-only warp mode and return the recorded reports (see
+//! [`crate::replay`]). A launch's replay role is fixed when its run state
+//! is created, so a concurrent group replays or records as one unit.
 
 use crate::arena::LaunchArena;
 use crate::buffer::{DevCopy, DeviceBuffer};
@@ -65,6 +73,7 @@ use crate::cache::SetAssocCache;
 use crate::config::DeviceConfig;
 use crate::counters::{Counters, RunReport, TimeBreakdown};
 use crate::event::{CompId, Component, EventQueue, PcieLink};
+use crate::replay::{ReplayMemo, ReplayRole};
 use crate::trace::{self, ChildRec, StreamRec, TraceLedger};
 use crate::warp::{WarpCtx, WARP};
 use parking_lot::Mutex;
@@ -198,6 +207,11 @@ pub(crate) struct ShardState {
     /// cache's access stream matches a sequential round-robin walk
     /// exactly, at any host worker count.
     pub(crate) tex_cache: Option<SetAssocCache>,
+    /// Whether the texture cache was probed since the last reset: an
+    /// untouched cache is still in its flushed state, so reset skips it.
+    pub(crate) tex_dirty: bool,
+    /// Values-only warp mode for a replayed launch (set per run).
+    pub(crate) values_only: bool,
     /// Child-launch sequence of this shard's parent blocks. Shard-private
     /// (hence deterministic); pre-incremented per launch so the first
     /// child grid gets `seq == 1`, matching a global launch counter
@@ -216,6 +230,8 @@ impl ShardState {
             sm_instr: vec![0; sm_count],
             sm_crit: vec![0; sm_count],
             tex_cache: None,
+            tex_dirty: false,
+            values_only: false,
             child_seq: 0,
             child_recs: Vec::new(),
         }
@@ -224,13 +240,17 @@ impl ShardState {
     /// Restore the logical fresh-launch state without dropping any
     /// allocation (the arena reuses shards across launches). A flushed
     /// texture cache is observationally identical to a new one, so a
-    /// reset shard behaves exactly like `ShardState::new`.
+    /// reset shard behaves exactly like `ShardState::new`. Only a cache
+    /// probed since the last reset is flushed: the others are still in
+    /// their flushed state.
     pub(crate) fn reset(&mut self) {
         self.counters = Counters::default();
         self.sm_instr.fill(0);
         self.sm_crit.fill(0);
-        if let Some(cache) = &mut self.tex_cache {
-            cache.flush();
+        if std::mem::take(&mut self.tex_dirty) {
+            if let Some(cache) = &mut self.tex_cache {
+                cache.flush();
+            }
         }
         self.child_seq = 0;
         self.child_recs.clear();
@@ -238,6 +258,7 @@ impl ShardState {
 
     /// This shard's texture cache (SM `home_sm`'s cache).
     pub(crate) fn cache_mut(&mut self, cfg: &DeviceConfig) -> &mut SetAssocCache {
+        self.tex_dirty = true;
         self.tex_cache.get_or_insert_with(|| {
             SetAssocCache::new(cfg.tex_cache_bytes, cfg.tex_line_bytes, cfg.tex_ways)
         })
@@ -253,6 +274,8 @@ pub struct RunState<'d> {
     /// Whether the owning device has a trace ledger attached (enables
     /// the per-stream / per-child counter snapshots).
     pub(crate) trace: bool,
+    /// This run's part in the device's replay scope.
+    pub(crate) replay: ReplayRole,
 }
 
 /// Per-block kernel context.
@@ -316,6 +339,7 @@ impl<'r, 'd, 'k> BlockCtx<'r, 'd, 'k> {
                 lanes: 0,
                 mem_lat,
                 tex_hit_lat,
+                values_only: self.shard.values_only,
                 shard: &mut *self.shard,
                 pending: &mut *self.pending,
                 cfg: self.cfg,
@@ -685,6 +709,8 @@ pub struct Device {
     arenas: Mutex<Vec<LaunchArena>>,
     /// Persistent device clock + components (see [`DeviceTimeline`]).
     timeline: Mutex<DeviceTimeline>,
+    /// Launch-replay memo (see [`crate::replay`]).
+    replay: Mutex<ReplayMemo>,
 }
 
 /// Most arenas a device keeps pooled (one is typical; concurrent groups
@@ -707,7 +733,38 @@ impl Device {
             ledger,
             arenas: Mutex::new(Vec::new()),
             timeline: Mutex::new(DeviceTimeline::new()),
+            replay: Mutex::new(ReplayMemo::default()),
         }
+    }
+
+    /// Run `f` as a replay scope under `key` (see [`crate::replay`]).
+    ///
+    /// The first scope under a key interprets every launch `f` issues on
+    /// this device and records its report; later scopes under the same
+    /// key run the kernels values-only and return the recorded reports,
+    /// advancing the clock by the same cycles. The caller guarantees that
+    /// `key` determines the launch sequence and its modeled cost: the same
+    /// kernels over the same structure and the same buffer placements.
+    /// Values may differ freely.
+    ///
+    /// `f` runs as plain code (no recording, no replay) when a trace
+    /// ledger is attached or a scope is already open.
+    pub fn replay_scope<R>(&self, key: &[u64], f: impl FnOnce() -> R) -> R {
+        if self.ledger.is_some() || !self.replay.lock().open(key) {
+            return f();
+        }
+        /// Abandons the scope if the body unwinds (never panics itself).
+        struct Abandon<'a>(&'a Mutex<ReplayMemo>);
+        impl Drop for Abandon<'_> {
+            fn drop(&mut self) {
+                self.0.lock().abandon();
+            }
+        }
+        let abandon = Abandon(&self.replay);
+        let out = f();
+        std::mem::forget(abandon);
+        self.replay.lock().close();
+        out
     }
 
     /// Current device clock in cycles. Launches and transfers advance it
@@ -883,15 +940,21 @@ impl Device {
     }
 
     fn fresh_run(&self) -> RunState<'_> {
-        let arena = self
+        let mut arena = self
             .arenas
             .lock()
             .pop()
             .unwrap_or_else(|| LaunchArena::new(self.cfg.sm_count));
+        let replay = self.replay.lock().role();
+        let values_only = replay == ReplayRole::Replay;
+        for shard in &mut arena.shards {
+            shard.values_only = values_only;
+        }
         RunState {
             cfg: &self.cfg,
             arena,
             trace: self.ledger.is_some(),
+            replay,
         }
     }
 
@@ -904,6 +967,11 @@ impl Device {
         shape: (usize, usize),
         streams: Vec<StreamRec>,
     ) -> RunReport {
+        if run.replay == ReplayRole::Replay {
+            let report = self.replay.lock().replay(name, shape);
+            self.retire(run.arena, report.time_s);
+            return report;
+        }
         let cfg = &self.cfg;
         let sms = cfg.sm_count;
         // Deterministic merge: shards are reduced in SM order. (All shard
@@ -964,18 +1032,22 @@ impl Device {
                 &self.cfg, &report, shape.0, shape.1, sm_instr, streams, children,
             );
         }
-        // The kernel occupied the device: advance the shared clock and
-        // recycle the launch's arena (reset = logically fresh).
-        self.timeline
-            .lock()
-            .advance(self.model_cycles(report.time_s));
-        let mut arena = run.arena;
+        if run.replay == ReplayRole::Record {
+            self.replay.lock().record(shape, &report);
+        }
+        self.retire(run.arena, report.time_s);
+        report
+    }
+
+    /// The kernel occupied the device for `time_s`: advance the shared
+    /// clock and recycle the launch's arena (reset = logically fresh).
+    fn retire(&self, mut arena: LaunchArena, time_s: f64) {
+        self.timeline.lock().advance(self.model_cycles(time_s));
         arena.reset();
         let mut pool = self.arenas.lock();
         if pool.len() < ARENA_POOL_CAP {
             pool.push(arena);
         }
-        report
     }
 }
 
@@ -1317,6 +1389,93 @@ mod tests {
         let seq = RunReport::sequence([&a, &b]);
         assert!((seq.time_s - (a.time_s + b.time_s)).abs() < 1e-15);
         assert_eq!(seq.launches, 2);
+    }
+
+    /// A launch whose modeled cost depends on a *value* (`n[0]` gathers
+    /// per warp) — out of the replay contract on purpose, so a replayed
+    /// report is distinguishable from a freshly interpreted one. Writes
+    /// `n[0] * 2` to `out`.
+    fn value_dependent_launch(
+        dev: &Device,
+        n: &DeviceBuffer<u32>,
+        out: &DeviceBuffer<u32>,
+    ) -> RunReport {
+        dev.launch("vdep", 2, 32, &|blk| {
+            blk.for_each_warp(&mut |warp| {
+                let v = warp.gather(n, &[0; WARP], FULL_MASK);
+                for _ in 0..v[0] {
+                    warp.gather(n, &[0; WARP], FULL_MASK);
+                }
+                let idx = std::array::from_fn(|i| i);
+                warp.scatter(out, &idx, &[v[0] * 2; WARP], FULL_MASK);
+            });
+        })
+    }
+
+    #[test]
+    fn replay_scope_returns_recorded_reports_and_computes_values() {
+        let dev = titan();
+        let mut n = dev.alloc(vec![1u32]);
+        let out = dev.alloc_zeroed::<u32>(WARP);
+        let key = [n.base_addr(), out.base_addr()];
+        let first = dev.replay_scope(&key, || value_dependent_launch(&dev, &n, &out));
+        let c1 = dev.clock_cycles();
+        n.as_mut_slice()[0] = 5;
+        let replayed = dev.replay_scope(&key, || value_dependent_launch(&dev, &n, &out));
+        assert_eq!(out.as_slice(), &[10u32; WARP], "values must be recomputed");
+        assert_eq!(replayed, first, "the recorded report is returned");
+        assert_eq!(
+            dev.clock_cycles(),
+            2 * c1,
+            "the clock advances by the recorded cycles"
+        );
+        // Outside a scope (and under another key) the launch interprets.
+        let fresh = value_dependent_launch(&dev, &n, &out);
+        assert!(fresh.counters.mem_requests > first.counters.mem_requests);
+        let other = dev.replay_scope(&[0], || value_dependent_launch(&dev, &n, &out));
+        assert_eq!(other.counters, fresh.counters);
+    }
+
+    #[test]
+    fn replay_scope_is_bypassed_with_a_ledger_attached() {
+        let mut dev = titan();
+        dev.enable_tracing();
+        let mut n = dev.alloc(vec![1u32]);
+        let out = dev.alloc_zeroed::<u32>(WARP);
+        let first = dev.replay_scope(&[1], || value_dependent_launch(&dev, &n, &out));
+        n.as_mut_slice()[0] = 5;
+        let second = dev.replay_scope(&[1], || value_dependent_launch(&dev, &n, &out));
+        assert!(second.counters.mem_requests > first.counters.mem_requests);
+    }
+
+    #[test]
+    #[should_panic(expected = "launch replay")]
+    fn replay_signature_mismatch_panics() {
+        let dev = titan();
+        let n = dev.alloc(vec![1u32]);
+        let out = dev.alloc_zeroed::<u32>(WARP);
+        dev.replay_scope(&[1], || value_dependent_launch(&dev, &n, &out));
+        dev.replay_scope(&[1], || dev.launch("other", 1, 32, &|_b| {}));
+    }
+
+    #[test]
+    fn untouched_texture_cache_reset_is_fresh() {
+        let cfg = presets::gtx_titan();
+        let fresh = || SetAssocCache::new(cfg.tex_cache_bytes, cfg.tex_line_bytes, cfg.tex_ways);
+        let mut shard = ShardState::new(0, cfg.sm_count);
+        for a in 0..500u64 {
+            shard.cache_mut(&cfg).access(a * 96);
+        }
+        shard.reset();
+        // Reset without a probe in between: the flush is skipped.
+        shard.reset();
+        assert!(!shard.tex_dirty);
+        let cache = shard.tex_cache.as_mut().expect("cache was allocated");
+        assert_eq!(format!("{cache:?}"), format!("{:?}", fresh()));
+        let mut reference = fresh();
+        for a in (0..2000u64).map(|i| (i * 7919) % 4096 * 32) {
+            assert_eq!(cache.access(a), reference.access(a), "addr {a}");
+        }
     }
 
     /// Mixed-feature kernel (coalesced + texture + reduce + atomics) used

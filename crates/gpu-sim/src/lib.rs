@@ -73,6 +73,7 @@ pub mod counters;
 pub mod engine;
 pub mod event;
 pub mod profile;
+pub mod replay;
 pub mod trace;
 pub mod warp;
 

@@ -18,6 +18,11 @@
 //! writes go through `&DeviceBuffer` interior mutability under the kernel
 //! data contract; cross-shard read-modify-write races are prevented by
 //! serializing [`WarpCtx::atomic_rmw`] under a process-wide lock.
+//!
+//! In *values-only* mode (a replayed launch, see [`crate::replay`]) every
+//! memory operation performs the same bounds-checked loads, stores and
+//! read-modify-writes but skips its coalescing scan, texture probes and
+//! counter charges: the launch's report comes from the recording.
 
 use crate::buffer::{DevCopy, DeviceBuffer};
 use crate::config::DeviceConfig;
@@ -69,6 +74,8 @@ pub struct WarpCtx<'r, 'd, 'k> {
     pub(crate) mem_lat: u64,
     /// `ceil(tex_hit_latency_cycles / mlp)`, precomputed likewise.
     pub(crate) tex_hit_lat: u64,
+    /// Values-only mode (launch replay): memory ops skip accounting.
+    pub(crate) values_only: bool,
 }
 
 impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
@@ -150,6 +157,9 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
         idx: &[usize; WARP],
         mask: u32,
     ) -> [T; WARP] {
+        if self.values_only {
+            return load_lanes(buf, idx, mask);
+        }
         let mut out = [T::default(); WARP];
         let txn = self.cfg.dram_transaction_bytes as u64;
         let elem = T::SIZE as u64;
@@ -194,23 +204,8 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
                     "gather index {max} out of bounds (len {})",
                     buf.len()
                 );
-                // SAFETY: every active index is ≤ `max`, checked above;
-                // inactive lanes read index 0 (in bounds: len > max ≥ 0)
-                // and discard it — a branchless select, not a branch per
-                // lane, so the loop vectorizes to a masked gather.
-                unsafe {
-                    if full {
-                        for lane in 0..WARP {
-                            out[lane] = buf.get_unchecked(idx[lane]);
-                        }
-                    } else {
-                        for lane in 0..WARP {
-                            let active = mask >> lane & 1 == 1;
-                            let v = buf.get_unchecked(if active { idx[lane] } else { 0 });
-                            out[lane] = if active { v } else { T::default() };
-                        }
-                    }
-                }
+                // SAFETY: every active index is ≤ `max`, checked above.
+                out = unsafe { load_active(buf, idx, mask) };
             }
             let ideal = ideal_from_distinct(n_active, distinct_elems, elem, txn);
             self.charge_mem_read(n_active as u64, segs, ideal, txn);
@@ -261,7 +256,7 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
         // sorted.
         let n_active = mask.count_ones() as usize;
         let n_groups = n_active >> g_shift;
-        if mask == lane_mask(n_active) && n_groups << g_shift == n_active {
+        if !self.values_only && mask == lane_mask(n_active) && n_groups << g_shift == n_active {
             if let Some(sa) = idx_shift(buf.base_addr(), elem, txn) {
                 let groups = &group_idx[..n_groups];
                 let scan = scan_run(groups, sa, 0);
@@ -311,6 +306,9 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
         idx: &[usize; WARP],
         mask: u32,
     ) -> ([A; WARP], [B; WARP]) {
+        if self.values_only {
+            return (load_lanes(buf_a, idx, mask), load_lanes(buf_b, idx, mask));
+        }
         let txn = self.cfg.dram_transaction_bytes as u64;
         let ea = A::SIZE as u64;
         let eb = B::SIZE as u64;
@@ -407,6 +405,9 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
         idx: &[usize; WARP],
         mask: u32,
     ) -> [T; WARP] {
+        if self.values_only {
+            return load_lanes(buf, idx, mask);
+        }
         let mut out = [T::default(); WARP];
         let line = self.cfg.tex_line_bytes as u64;
         let shift = line.trailing_zeros();
@@ -444,22 +445,8 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
                     "gather index {max} out of bounds (len {})",
                     buf.len()
                 );
-                // SAFETY: every active index is ≤ `max`, checked above;
-                // inactive lanes read index 0 (in bounds) and discard it —
-                // branchless select, as in `gather`.
-                unsafe {
-                    if full {
-                        for lane in 0..WARP {
-                            out[lane] = buf.get_unchecked(idx[lane]);
-                        }
-                    } else {
-                        for lane in 0..WARP {
-                            let active = mask >> lane & 1 == 1;
-                            let v = buf.get_unchecked(if active { idx[lane] } else { 0 });
-                            out[lane] = if active { v } else { T::default() };
-                        }
-                    }
-                }
+                // SAFETY: every active index is ≤ `max`, checked above.
+                out = unsafe { load_active(buf, idx, mask) };
             }
             let run: &[usize] = if sorted && full {
                 &idx[..]
@@ -610,6 +597,10 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
         vals: &[T; WARP],
         mask: u32,
     ) {
+        if self.values_only {
+            store_lanes(buf, idx, vals, mask);
+            return;
+        }
         let txn = self.cfg.dram_transaction_bytes as u64;
         let elem = T::SIZE as u64;
         // Fast path: index-space scan, as in `gather`.
@@ -649,22 +640,7 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
                     buf.len()
                 );
                 // SAFETY: every active index is ≤ `max`, checked above.
-                // Writes run in ascending lane order, preserving the
-                // last-writer-wins conflict resolution.
-                unsafe {
-                    if full {
-                        for lane in 0..WARP {
-                            buf.set_unchecked(idx[lane], vals[lane]);
-                        }
-                    } else {
-                        let mut m = mask;
-                        while m != 0 {
-                            let lane = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            buf.set_unchecked(idx[lane], vals[lane]);
-                        }
-                    }
-                }
+                unsafe { store_active(buf, idx, vals, mask) };
             }
             let ideal = ideal_from_distinct(n_active, distinct_elems, elem, txn);
             self.charge_mem_write(n_active as u64, segs, ideal, txn);
@@ -718,28 +694,32 @@ impl<'r, 'd, 'k> WarpCtx<'r, 'd, 'k> {
         mask: u32,
         op: impl Fn(T, T) -> T,
     ) {
-        let mut seen: [(usize, u32); WARP] = [(usize::MAX, 0); WARP];
-        let mut n_distinct = 0usize;
-        let mut n_active = 0u64;
         {
             let _serialize = ATOMIC_LOCK.lock().unwrap_or_else(|p| p.into_inner());
             for lane in 0..WARP {
                 if mask >> lane & 1 == 1 {
-                    n_active += 1;
                     let cur = buf.get(idx[lane]);
                     buf.set(idx[lane], op(cur, vals[lane]));
-                    match seen[..n_distinct].iter_mut().find(|(a, _)| *a == idx[lane]) {
-                        Some((_, c)) => *c += 1,
-                        None => {
-                            seen[n_distinct] = (idx[lane], 1);
-                            n_distinct += 1;
-                        }
-                    }
                 }
             }
         }
-        if n_active == 0 {
+        let n_active = u64::from(mask.count_ones());
+        if n_active == 0 || self.values_only {
             return;
+        }
+        // Conflict accounting: per distinct address, how many lanes hit it.
+        let mut seen: [(usize, u32); WARP] = [(usize::MAX, 0); WARP];
+        let mut n_distinct = 0usize;
+        for (lane, &i) in idx.iter().enumerate() {
+            if mask >> lane & 1 == 1 {
+                match seen[..n_distinct].iter_mut().find(|(a, _)| *a == i) {
+                    Some((_, c)) => *c += 1,
+                    None => {
+                        seen[n_distinct] = (i, 1);
+                        n_distinct += 1;
+                    }
+                }
+            }
         }
         let max_mult = seen[..n_distinct]
             .iter()
@@ -898,6 +878,104 @@ impl Drop for WarpCtx<'_, '_, '_> {
         self.shard.counters.lane_ops += self.lanes;
         self.shard.counters.warps += 1;
     }
+}
+
+/// Panic unless every active lane's index is below `len` — the bounds
+/// check of the accounted paths (same message, naming the largest active
+/// index), computed as one compare per lane into a bitmask so it
+/// vectorizes instead of chaining 32 dependent `max`es.
+#[inline]
+fn check_active(idx: &[usize; WARP], mask: u32, len: usize, op: &str) {
+    let mut oob = 0u32;
+    for (lane, &i) in idx.iter().enumerate() {
+        oob |= u32::from(i >= len) << lane;
+    }
+    if oob & mask != 0 {
+        let max = (0..WARP)
+            .filter(|&lane| mask >> lane & 1 == 1)
+            .map(|lane| idx[lane])
+            .max()
+            .unwrap_or(0);
+        panic!("{op} index {max} out of bounds (len {len})");
+    }
+}
+
+/// Load `buf[idx[lane]]` for the active lanes (`T::default()` on the
+/// others). Inactive lanes read index 0 and discard it — a branchless
+/// select, not a branch per lane, so the loop vectorizes to a masked
+/// gather.
+///
+/// # Safety
+/// Every active index must be in bounds, and `buf` non-empty unless the
+/// mask is empty.
+#[inline(always)]
+unsafe fn load_active<T: DevCopy>(
+    buf: &DeviceBuffer<T>,
+    idx: &[usize; WARP],
+    mask: u32,
+) -> [T; WARP] {
+    let mut out = [T::default(); WARP];
+    if mask == FULL_MASK {
+        for lane in 0..WARP {
+            out[lane] = buf.get_unchecked(idx[lane]);
+        }
+    } else if mask != 0 {
+        for lane in 0..WARP {
+            let active = mask >> lane & 1 == 1;
+            let v = buf.get_unchecked(if active { idx[lane] } else { 0 });
+            out[lane] = if active { v } else { T::default() };
+        }
+    }
+    out
+}
+
+/// Store `vals[lane]` to `buf[idx[lane]]` for the active lanes, in
+/// ascending lane order (last writer wins on conflicts).
+///
+/// # Safety
+/// Every active index must be in bounds.
+#[inline(always)]
+unsafe fn store_active<T: DevCopy>(
+    buf: &DeviceBuffer<T>,
+    idx: &[usize; WARP],
+    vals: &[T; WARP],
+    mask: u32,
+) {
+    if mask == FULL_MASK {
+        for lane in 0..WARP {
+            buf.set_unchecked(idx[lane], vals[lane]);
+        }
+    } else {
+        let mut m = mask;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            m &= m - 1;
+            buf.set_unchecked(idx[lane], vals[lane]);
+        }
+    }
+}
+
+/// Values-only gather: the accounted gathers' bounds check and loads,
+/// without coalescing scan or charges.
+#[inline]
+fn load_lanes<T: DevCopy>(buf: &DeviceBuffer<T>, idx: &[usize; WARP], mask: u32) -> [T; WARP] {
+    check_active(idx, mask, buf.len(), "gather");
+    // SAFETY: every active index is in bounds, checked above.
+    unsafe { load_active(buf, idx, mask) }
+}
+
+/// Values-only scatter: the accounted scatter's bounds check and stores,
+/// without coalescing scan or charges.
+#[inline]
+fn store_lanes<T: DevCopy>(
+    buf: &DeviceBuffer<T>,
+    idx: &[usize; WARP],
+    vals: &[T; WARP],
+    mask: u32,
+) {
+    check_active(idx, mask, buf.len(), "scatter");
+    // SAFETY: every active index is in bounds, checked above.
+    unsafe { store_active(buf, idx, vals, mask) }
 }
 
 /// Element of a scannable access run: a raw byte address (`u64`) or an

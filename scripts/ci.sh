@@ -20,6 +20,9 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> benchmark self-test (replayed ≡ fully interpreted, widths 2 and 1)"
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --self-test --seed 7 --seconds 0
+
 echo "==> trace export smoke (repro fig5 --trace)"
 ./target/release/repro fig5 --trace --scale 512 --matrices INT > /dev/null
 test -s results/trace_fig5.json
