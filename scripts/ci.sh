@@ -75,6 +75,9 @@ test -s results/METRICS_serve.json
 test -s results/TIMELINE_serve.json
 ./target/release/repro check-artifacts results/METRICS_serve.json results/TIMELINE_serve.json
 
+echo "==> fig8 reproduction gate (stdout vs committed results/fig8_scale16.txt)"
+./target/release/repro fig8 --scale 16 | diff results/fig8_scale16.txt -
+
 echo "==> perf-regression gate (bench-diff vs committed baseline)"
 ./target/release/repro bench-diff baselines/PROFILE_fig5_ci.json results/PROFILE_fig5.json
 
