@@ -1,9 +1,10 @@
-//! §VIII partitioning costs: the per-bin round-robin split must stay a
-//! cheap linear pass even at large row counts.
+//! §VIII partitioning costs: the fleet's per-bin round-robin split (with
+//! halo bookkeeping, replication off) must stay a cheap pass even at
+//! large row counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphgen::{generate_power_law, PowerLawConfig};
-use multi_gpu::partition_rows_by_bins;
+use multi_gpu::{partition_fleet, ReplicationPolicy};
 
 fn bench_partition(c: &mut Criterion) {
     let mut g = c.benchmark_group("multigpu_partition");
@@ -24,7 +25,7 @@ fn bench_partition(c: &mut Criterion) {
                 BenchmarkId::new(format!("{devices}_devices"), rows),
                 &m,
                 |b, m| {
-                    b.iter(|| partition_rows_by_bins(m, devices));
+                    b.iter(|| partition_fleet(m, devices, &ReplicationPolicy::disabled()));
                 },
             );
         }

@@ -1,15 +1,23 @@
 //! The N-device sharded fleet executor.
 //!
-//! Where [`crate::MultiGpuAcsr`] mirrors the paper's §VIII setup — every
-//! device holds a full copy of `x` — a [`Fleet`] models the resident
-//! configuration a larger machine actually runs: each device holds only
-//! its shard (owned rows plus replicated hot rows), and between
-//! iterations the shards exchange exactly the remote `x` entries their
-//! peers computed. The exchange is explicit and event-scheduled
-//! ([`crate::halo`]): each `(owner → shard)` halo edge becomes one
-//! interconnect transfer, ready the instant its producer's compute
-//! finishes, FIFO per egress/ingress engine — so transfers from
-//! early-finishing devices hide under the slowest device's compute.
+//! A [`Fleet`] deals each bin's rows round-robin across its devices
+//! (the paper's §VIII split, generalized to N devices) and gives every
+//! device a plan for the rows it computes. One step — a fleet SpMV, or
+//! a batched serving wave — ends with one **exchange**, chosen by
+//! [`FleetConfig::exchange`] and scheduled on the interconnect
+//! ([`crate::halo`]):
+//!
+//! - [`Exchange::Halo`]: the resident configuration a larger machine
+//!   runs. Each device holds only its shard (owned rows plus replicated
+//!   hot rows), and each `(owner → shard)` halo edge ships the remote
+//!   `x` entries the shard reads next iterate, ready the instant its
+//!   producer's compute finishes, FIFO per egress/ingress engine — so
+//!   transfers from early-finishing devices hide under the slowest
+//!   device's compute.
+//! - [`Exchange::Handoff`]: the paper's replicated-`x` setup
+//!   ([`FleetConfig::k10`]). Every device holds all of `x`, and each
+//!   participating device hands a zero-byte completion signal to the
+//!   host sink, whose ingress serializes them.
 //!
 //! Each shard plans its own format: binned sharding reshapes every
 //! shard's row-length distribution, so a dense shard may plan ELL/HYB
@@ -51,27 +59,73 @@ pub enum ShardFormat {
     },
 }
 
+impl ShardFormat {
+    /// Plan `m` on `dev`; returns the plan and the format it runs.
+    fn plan<T: Scalar>(&self, dev: &Device, m: &CsrMatrix<T>) -> (SpmvPlan<T>, String) {
+        let budget = PlanBudget::for_device(dev.config());
+        match self {
+            ShardFormat::Acsr(acsr_cfg) => {
+                let plan = AcsrPlanner::with_config(*acsr_cfg)
+                    .plan(dev, m, &budget)
+                    .expect("shard ACSR plan must fit the device");
+                (plan, "ACSR".to_string())
+            }
+            ShardFormat::Fixed(name) => {
+                let plan = FormatRegistry::<T>::with_all()
+                    .plan(name, dev, m, &budget)
+                    .expect("shard plan must fit the device");
+                (plan, name.to_string())
+            }
+            ShardFormat::Adaptive { horizon } => {
+                let mut reg = FormatRegistry::<T>::with_all();
+                reg.register(Box::new(AcsrPlanner::with_config(
+                    AcsrConfig::static_long_tail(),
+                )));
+                let budget = budget.with_iterations(*horizon);
+                let sel = AdaptiveSelector.select(&reg, dev, m, &budget);
+                (sel.plan, sel.winner)
+            }
+        }
+    }
+}
+
+/// What crosses the interconnect at the end of a fleet step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Exchange {
+    /// Owner → shard halo transfers of the remote `x` entries each
+    /// shard reads next iterate, booked as peer ingress on the
+    /// receiving device.
+    Halo,
+    /// One zero-byte completion hand-off per participating device to
+    /// the host sink (none when a single device participates).
+    Handoff,
+}
+
 /// Fleet construction knobs.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Simulated devices.
     pub n_devices: usize,
-    /// Interconnect class the halo exchange rides.
+    /// Interconnect class the exchange rides.
     pub link: LinkModel,
     /// Hot-row replication policy.
     pub replication: ReplicationPolicy,
     /// Per-shard format choice.
     pub format: ShardFormat,
+    /// How each step ends.
+    pub exchange: Exchange,
 }
 
 impl FleetConfig {
-    /// ACSR on every shard, PCIe-class links, default replication.
+    /// ACSR on every shard, PCIe-class links, default replication, halo
+    /// exchange.
     pub fn new(n_devices: usize) -> FleetConfig {
         FleetConfig {
             n_devices,
             link: LinkModel::pcie(),
             replication: ReplicationPolicy::default(),
             format: ShardFormat::Acsr(AcsrConfig::static_long_tail()),
+            exchange: Exchange::Halo,
         }
     }
 
@@ -80,6 +134,22 @@ impl FleetConfig {
         FleetConfig {
             link: LinkModel::nvlink(),
             ..FleetConfig::new(n_devices)
+        }
+    }
+
+    /// The paper's §VIII Tesla K10 setup at any device count: every
+    /// device holds a full copy of `x` (no replication, no halo), runs
+    /// static long-tail ACSR (the K10 lacks dynamic parallelism), and
+    /// hands off to the host over a 10 µs signal — two balanced devices
+    /// pay 20 µs of serialized sync, while an early finisher's hand-off
+    /// overlaps the slower device's compute.
+    pub fn k10(n_devices: usize) -> FleetConfig {
+        FleetConfig {
+            n_devices,
+            link: LinkModel::signal(10e-6),
+            replication: ReplicationPolicy::disabled(),
+            format: ShardFormat::Acsr(AcsrConfig::static_long_tail()),
+            exchange: Exchange::Handoff,
         }
     }
 }
@@ -92,7 +162,7 @@ pub struct FleetReport {
     pub per_device: Vec<RunReport>,
     /// Per-device compute seconds (before any exchange transfer).
     pub compute: Vec<f64>,
-    /// The scheduled halo exchange.
+    /// The scheduled exchange (halo transfers or hand-offs).
     pub exchange: ExchangeReport,
     /// Format each shard executed ("-" for an empty shard).
     pub formats: Vec<String>,
@@ -129,8 +199,8 @@ impl FleetReport {
     }
 }
 
-/// An N-device sharded SpMV executor with event-scheduled halo
-/// exchange (see the module docs).
+/// An N-device sharded SpMV executor with an event-scheduled exchange
+/// (see the module docs).
 pub struct Fleet<T: Scalar> {
     devices: Vec<Device>,
     /// `None` for empty shards (more devices than rows can feed).
@@ -139,7 +209,9 @@ pub struct Fleet<T: Scalar> {
     /// `compute_rows[d][local] = global` for every computed row.
     compute_rows: Vec<Vec<u32>>,
     formats: Vec<String>,
+    format: ShardFormat,
     link: LinkModel,
+    exchange: Exchange,
     rows: usize,
     cols: usize,
     nnz: usize,
@@ -166,34 +238,7 @@ impl<T: Scalar> Fleet<T> {
                 plans.push(None);
                 formats.push("-".to_string());
             } else {
-                let sub = crate::extract_rows(m, &rows);
-                let budget = PlanBudget::for_device(dev.config());
-                let (plan, format) = match &cfg.format {
-                    ShardFormat::Acsr(acsr_cfg) => {
-                        let planner = AcsrPlanner::with_config(*acsr_cfg);
-                        let plan = planner
-                            .plan(&dev, &sub, &budget)
-                            .expect("shard ACSR plan must fit the device");
-                        (plan, "ACSR".to_string())
-                    }
-                    ShardFormat::Fixed(name) => {
-                        let reg = FormatRegistry::<T>::with_all();
-                        let plan = reg
-                            .plan(name, &dev, &sub, &budget)
-                            .expect("shard plan must fit the device");
-                        (plan, name.to_string())
-                    }
-                    ShardFormat::Adaptive { horizon } => {
-                        let mut reg = FormatRegistry::<T>::with_all();
-                        reg.register(Box::new(AcsrPlanner::with_config(
-                            AcsrConfig::static_long_tail(),
-                        )));
-                        let budget = budget.with_iterations(*horizon);
-                        let sel = AdaptiveSelector.select(&reg, &dev, &sub, &budget);
-                        let winner = sel.winner.clone();
-                        (sel.plan, winner)
-                    }
-                };
+                let (plan, format) = cfg.format.plan(&dev, &extract_rows(m, &rows));
                 plans.push(Some(plan));
                 formats.push(format);
             }
@@ -206,7 +251,9 @@ impl<T: Scalar> Fleet<T> {
             partition,
             compute_rows,
             formats,
+            format: cfg.format.clone(),
             link: cfg.link,
+            exchange: cfg.exchange,
             rows: m.rows(),
             cols: m.cols(),
             nnz: m.nnz(),
@@ -253,6 +300,26 @@ impl<T: Scalar> Fleet<T> {
         &self.devices[d]
     }
 
+    /// Every shard in device order as `(device, plan, rows)`: `plan` is
+    /// `None` for an empty shard, and `rows[local] = global` lists the
+    /// rows the plan computes, ascending.
+    pub fn shards(&self) -> impl Iterator<Item = (&Device, Option<&SpmvPlan<T>>, &[u32])> {
+        self.devices
+            .iter()
+            .zip(&self.plans)
+            .zip(&self.compute_rows)
+            .map(|((dev, plan), rows)| (dev, plan.as_ref(), rows.as_slice()))
+    }
+
+    /// Plan all of `m` on every device with the fleet's shard format —
+    /// the replicated operators whole-query work stealing runs on.
+    pub fn plan_replicated(&self, m: &CsrMatrix<T>) -> Vec<SpmvPlan<T>> {
+        self.devices
+            .iter()
+            .map(|dev| self.format.plan(dev, m).0)
+            .collect()
+    }
+
     /// Attach one shared trace ledger to every device and return it:
     /// subsequent [`Self::spmv`] calls record per-device kernel spans
     /// *and* per-edge halo transfer spans (on the receiving device's
@@ -265,53 +332,85 @@ impl<T: Scalar> Fleet<T> {
         ledger
     }
 
+    /// Schedule the exchange ending a step in which device `d` finished
+    /// computing at `ready[d]` seconds (`None`: it sat the step out)
+    /// over `vectors` right-hand sides. Halo edges from a participating
+    /// owner carry `vectors` entries per remote row; hand-offs carry no
+    /// payload. Every multi-device step end — fleet SpMVs, serving
+    /// waves and the serving cost model — is priced here.
+    pub fn exchange_after(&self, ready: &[Option<f64>], vectors: usize) -> ExchangeReport {
+        let n = self.devices.len();
+        assert_eq!(ready.len(), n, "one ready time per device");
+        let edges: Vec<EdgeSpec> = match self.exchange {
+            Exchange::Halo => {
+                let elt = (std::mem::size_of::<T>() * vectors) as u64;
+                self.partition
+                    .shards
+                    .iter()
+                    .flat_map(|shard| {
+                        shard.halo_in.iter().filter_map(move |(src, rows)| {
+                            Some(EdgeSpec {
+                                src: *src,
+                                dst: shard.device,
+                                entries: rows.len() * vectors,
+                                bytes: rows.len() as u64 * elt,
+                                ready_ns: ns(ready[*src]?),
+                            })
+                        })
+                    })
+                    .collect()
+            }
+            Exchange::Handoff if ready.iter().flatten().count() > 1 => ready
+                .iter()
+                .enumerate()
+                .filter_map(|(d, t)| {
+                    Some(EdgeSpec {
+                        src: d,
+                        dst: n,
+                        entries: 0,
+                        bytes: 0,
+                        ready_ns: ns((*t)?),
+                    })
+                })
+                .collect(),
+            Exchange::Handoff => Vec::new(),
+        };
+        schedule_exchange(n, &edges, &self.link)
+    }
+
     /// Run `y = A * x` across the fleet; `y` must have `rows` slots.
     ///
     /// Phase 1 (compute): every shard runs its plan over the full-value
     /// `x`; the owner's result is written to `y` bit-identically to the
-    /// single-device plan. Phase 2 (exchange): each halo edge ships the
-    /// next iterate's remote entries, ready at its producer's finish,
-    /// scheduled on the interconnect ([`crate::halo`]).
+    /// single-device plan. Phase 2 (exchange): [`Self::exchange_after`]
+    /// schedules the step's halo transfers or hand-offs, ready at each
+    /// producer's finish; halo ingress is booked on the receiving
+    /// device, while hand-offs to the host sink touch no device.
     pub fn spmv(&self, x: &[T], y: &mut [T]) -> FleetReport {
         assert_eq!(x.len(), self.cols, "x length mismatch");
         assert_eq!(y.len(), self.rows, "y length mismatch");
         let n = self.devices.len();
         let mut per_device = vec![RunReport::default(); n];
         let mut compute = vec![0.0f64; n];
-        for d in 0..n {
-            let Some(plan) = &self.plans[d] else { continue };
-            let dev = &self.devices[d];
+        let mut ready = vec![None; n];
+        for (d, (dev, plan, rows)) in self.shards().enumerate() {
+            let Some(plan) = plan else { continue };
             let xd = dev.alloc(x.to_vec());
             let yd = dev.alloc_zeroed::<T>(plan.rows());
             let rep = plan.spmv(dev, &xd, &yd);
-            let shard = &self.partition.shards[d];
             let local = yd.as_slice();
-            for (l, &g) in self.compute_rows[d].iter().enumerate() {
+            for (l, &g) in rows.iter().enumerate() {
                 if self.partition.owner[g as usize] as usize == d {
                     y[g as usize] = local[l];
                 }
             }
-            debug_assert_eq!(shard.device, d);
             compute[d] = rep.time_s;
+            ready[d] = Some(rep.time_s);
             per_device[d] = rep;
         }
 
-        // Halo edges: owner → shard, ready at the owner's finish.
-        let elt = std::mem::size_of::<T>() as u64;
-        let mut edges = Vec::new();
-        for shard in &self.partition.shards {
-            for (src, rows) in &shard.halo_in {
-                edges.push(EdgeSpec {
-                    src: *src,
-                    dst: shard.device,
-                    entries: rows.len(),
-                    bytes: rows.len() as u64 * elt,
-                    ready_ns: ns(compute[*src]),
-                });
-            }
-        }
-        let exchange = schedule_exchange(n, &edges, &self.link);
-        for t in &exchange.transfers {
+        let exchange = self.exchange_after(&ready, 1);
+        for t in exchange.transfers.iter().filter(|t| t.dst < n) {
             let rep = self.devices[t.dst].record_peer_recv(
                 &format!("halo_{}to{}", t.src, t.dst),
                 t.bytes,
@@ -327,6 +426,23 @@ impl<T: Scalar> Fleet<T> {
             replicated_rows: self.partition.hot_rows.len(),
         }
     }
+}
+
+/// Extract the listed rows of `m` into a compact sub-matrix (row order
+/// preserved; columns untouched).
+fn extract_rows<T: Scalar>(m: &CsrMatrix<T>, rows: &[u32]) -> CsrMatrix<T> {
+    let mut offsets = Vec::with_capacity(rows.len() + 1);
+    offsets.push(0u32);
+    let mut cols = Vec::new();
+    let mut vals = Vec::new();
+    for &r in rows {
+        let (rc, rv) = m.row(r as usize);
+        cols.extend_from_slice(rc);
+        vals.extend_from_slice(rv);
+        offsets.push(cols.len() as u32);
+    }
+    CsrMatrix::from_raw_parts(rows.len(), m.cols(), offsets, cols, vals)
+        .expect("extracted rows preserve CSR invariants")
 }
 
 /// Fold one fleet SpMV into `metrics` under `prefix`: the shared
@@ -375,6 +491,164 @@ mod tests {
             seed,
             ..Default::default()
         })
+    }
+
+    fn k10_fleet(m: &CsrMatrix<f64>, n: usize) -> Fleet<f64> {
+        Fleet::new(m, &presets::tesla_k10_single(), &FleetConfig::k10(n))
+    }
+
+    #[test]
+    fn k10_dual_result_matches_reference() {
+        let m = matrix(4000, 171);
+        let x: Vec<f64> = (0..m.cols()).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
+        let mut y = vec![0.0; m.rows()];
+        let rep = k10_fleet(&m, 2).spmv(&x, &mut y);
+        let d = sparse_formats::scalar::rel_l2_distance(&y, &m.spmv(&x));
+        assert!(d < 1e-12, "rel distance {d}");
+        assert_eq!(rep.per_device.len(), 2);
+        assert_eq!(
+            rep.replicated_rows, 0,
+            "the K10 preset replicates x, not rows"
+        );
+        assert_eq!(rep.halo_bytes(), 0);
+        assert!(rep.seconds() > 0.0);
+    }
+
+    #[test]
+    fn k10_large_matrix_scales_small_matrix_does_not() {
+        let big = matrix(60_000, 173);
+        let small = matrix(2048, 174);
+        let speedup = |m: &CsrMatrix<f64>| {
+            let x = vec![1.0f64; m.cols()];
+            let mut y = vec![0.0; m.rows()];
+            let t1 = k10_fleet(m, 1).spmv(&x, &mut y).seconds();
+            let t2 = k10_fleet(m, 2).spmv(&x, &mut y).seconds();
+            t1 / t2
+        };
+        let s_big = speedup(&big);
+        let s_small = speedup(&small);
+        assert!(s_big > 1.4, "big-matrix speedup {s_big}");
+        assert!(
+            s_small < s_big,
+            "small {s_small} should scale worse than big {s_big}"
+        );
+    }
+
+    #[test]
+    fn k10_fixed_formats_split_and_match_reference() {
+        let m = matrix(3000, 177);
+        let x: Vec<f64> = (0..m.cols()).map(|i| 0.5 + (i % 5) as f64).collect();
+        let want = m.spmv(&x);
+        for name in ["HYB", "CSR-vector"] {
+            let cfg = FleetConfig {
+                format: ShardFormat::Fixed(name),
+                ..FleetConfig::k10(2)
+            };
+            let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &cfg);
+            assert_eq!(fleet.formats(), [name, name]);
+            let mut y = vec![0.0; m.rows()];
+            let rep = fleet.spmv(&x, &mut y);
+            let d = sparse_formats::scalar::rel_l2_distance(&y, &want);
+            assert!(d < 1e-12, "{name}: rel distance {d}");
+            assert_eq!(rep.exchange.transfers.len(), 2, "{name}");
+        }
+    }
+
+    #[test]
+    fn single_device_has_no_sync_cost() {
+        let m = matrix(2048, 176);
+        let x = vec![1.0f64; m.cols()];
+        let mut y = vec![0.0; m.rows()];
+        let rep = k10_fleet(&m, 1).spmv(&x, &mut y);
+        assert!(rep.exchange.transfers.is_empty());
+        assert_eq!(rep.exchange_tail_s(), 0.0);
+        assert_eq!(rep.seconds(), rep.compute_s());
+    }
+
+    /// The per-phase breakdown of [`FleetReport::seconds`] under the
+    /// hand-off exchange. A flat `max + sync` model charges the full
+    /// sync after the *slowest* device even when a device finished long
+    /// before; here an early finisher's hand-off overlaps the slow
+    /// device's compute.
+    #[test]
+    fn handoff_overlaps_slow_device_compute() {
+        let handshake = 10e-6;
+        let m = matrix(2048, 178);
+        let fleet = k10_fleet(&m, 2);
+        let report = |t0: f64, t1: f64| FleetReport {
+            per_device: vec![RunReport::default(); 2],
+            compute: vec![t0, t1],
+            exchange: fleet.exchange_after(&[Some(t0), Some(t1)], 1),
+            formats: Vec::new(),
+            replicated_rows: 0,
+        };
+        // Skewed finishes: device 1 (40 µs) hands off at 40→50 µs,
+        // entirely under device 0's 100 µs of compute. Only device 0's
+        // own hand-off extends the run: 110 µs, not a flat 120 µs.
+        let skewed = report(100e-6, 40e-6);
+        assert_eq!(skewed.compute_s(), 100e-6);
+        assert!(
+            (skewed.seconds() - 110e-6).abs() < 1e-12,
+            "{}",
+            skewed.seconds()
+        );
+        assert!((skewed.exchange_tail_s() - handshake).abs() < 1e-12);
+        // Balanced finishes serialize both hand-offs on the host: 20 µs.
+        let balanced = report(100e-6, 100e-6);
+        assert!(
+            (balanced.seconds() - 120e-6).abs() < 1e-12,
+            "{}",
+            balanced.seconds()
+        );
+        assert!((balanced.exchange_tail_s() - 2.0 * handshake).abs() < 1e-12);
+        // A lone participant needs no barrier.
+        assert!(fleet
+            .exchange_after(&[Some(100e-6), None], 1)
+            .transfers
+            .is_empty());
+        // And end to end: a dual-device run ships exactly one hand-off
+        // per device to the host sink.
+        let x = vec![1.0f64; m.cols()];
+        let mut y = vec![0.0; m.rows()];
+        let rep = fleet.spmv(&x, &mut y);
+        assert_eq!(rep.exchange.transfers.len(), 2);
+        assert!(rep
+            .exchange
+            .transfers
+            .iter()
+            .all(|t| t.dst == 2 && t.bytes == 0));
+        assert!(rep.seconds() >= rep.compute_s());
+        assert!(
+            rep.exchange_tail_s() > 0.0,
+            "hand-offs ready at finish always expose a tail"
+        );
+    }
+
+    /// Hand-offs land on the host sink, not a device: no device books
+    /// peer ingress for them, so each device's accounting is exactly its
+    /// compute.
+    #[test]
+    fn handoffs_book_no_device_ingress() {
+        let m = matrix(3000, 179);
+        let mut fleet = k10_fleet(&m, 3);
+        let ledger = fleet.enable_tracing();
+        let x = vec![1.0f64; m.cols()];
+        let mut y = vec![0.0; m.rows()];
+        let rep = fleet.spmv(&x, &mut y);
+        assert_eq!(rep.exchange.transfers.len(), 3);
+        assert!(rep.exchange.transfers.iter().all(|t| t.dst == 3));
+        for (d, r) in rep.per_device.iter().enumerate() {
+            assert_eq!(r.time_s.to_bits(), rep.compute[d].to_bits(), "device {d}");
+            assert_eq!(r.counters.htod_bytes, 0, "device {d}");
+        }
+        assert_eq!(rep.exchange.recv_bytes, vec![0; 3]);
+        assert!(
+            ledger.spans().iter().all(|s| !s.name.starts_with("halo_")),
+            "no peer-ingress span for a host hand-off"
+        );
+        ledger
+            .reconcile()
+            .expect("hand-off fleet trace must reconcile");
     }
 
     #[test]

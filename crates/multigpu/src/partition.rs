@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 /// The rows assigned to one device, in ascending global order.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BinPartition {
+pub(crate) struct BinPartition {
     /// Device index.
     pub device: usize,
     /// Global row ids owned by this device.
@@ -22,7 +22,10 @@ pub struct BinPartition {
 }
 
 /// Split `m`'s rows across `n_devices` by dealing each bin round-robin.
-pub fn partition_rows_by_bins<T: Scalar>(m: &CsrMatrix<T>, n_devices: usize) -> Vec<BinPartition> {
+pub(crate) fn partition_rows_by_bins<T: Scalar>(
+    m: &CsrMatrix<T>,
+    n_devices: usize,
+) -> Vec<BinPartition> {
     assert!(n_devices >= 1);
     // bin -> rows (ascending because we scan rows in order)
     let mut bins: Vec<Vec<u32>> = Vec::new();
@@ -148,12 +151,13 @@ pub struct FleetPartition {
     pub owner: Vec<u32>,
 }
 
-/// Shard `m`'s rows across `n_devices` by bins (via
-/// [`partition_rows_by_bins`]), then derive each shard's halo needs for
-/// the iterated-SpMV dataflow `x ← y` — shard `d` needs row `c`'s value
-/// whenever a row it computes has a non-zero in column `c` — and
-/// replicate hot rows per `policy`. Columns `≥ m.rows()` (rectangular
-/// operators) have no producer and are treated as host-resident input.
+/// Shard `m`'s rows across `n_devices` by dealing each bin round-robin
+/// (the owned rows form a disjoint cover), then derive each shard's
+/// halo needs for the iterated-SpMV dataflow `x ← y` — shard `d` needs
+/// row `c`'s value whenever a row it computes has a non-zero in column
+/// `c` — and replicate hot rows per `policy`. Columns `≥ m.rows()`
+/// (rectangular operators) have no producer and are treated as
+/// host-resident input.
 pub fn partition_fleet<T: Scalar>(
     m: &CsrMatrix<T>,
     n_devices: usize,

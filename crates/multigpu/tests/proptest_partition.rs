@@ -6,7 +6,7 @@
 //! replication policy's caps hold.
 
 use graphgen::{generate_power_law, PowerLawConfig};
-use multi_gpu::{partition_fleet, partition_rows_by_bins, FleetPartition, ReplicationPolicy};
+use multi_gpu::{partition_fleet, FleetPartition, ReplicationPolicy};
 use proptest::prelude::*;
 use sparse_formats::CsrMatrix;
 
@@ -131,23 +131,24 @@ fn assert_fleet_invariants(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// `partition_rows_by_bins` at N ∈ {3, 5, 8, 16}: disjoint cover
-    /// with exact nnz accounting.
+    /// The bin partition behind `partition_fleet` (replication off, so
+    /// every shard computes exactly its owned rows) at N ∈ {3, 5, 8, 16}:
+    /// disjoint cover with exact nnz accounting.
     #[test]
     fn bin_partition_is_disjoint_cover(rows in 60usize..500, seed in 1u64..5000) {
         let m = matrix(rows, seed);
         for n in DEVICE_COUNTS {
-            let parts = partition_rows_by_bins(&m, n);
-            prop_assert_eq!(parts.len(), n);
+            let fp = partition_fleet(&m, n, &ReplicationPolicy::disabled());
+            prop_assert_eq!(fp.shards.len(), n);
             let mut seen = vec![false; m.rows()];
             let mut nnz = 0usize;
-            for p in &parts {
-                prop_assert!(p.rows.windows(2).all(|w| w[0] < w[1]));
-                for &r in &p.rows {
+            for s in &fp.shards {
+                prop_assert!(s.owned.windows(2).all(|w| w[0] < w[1]));
+                for &r in &s.owned {
                     prop_assert!(!seen[r as usize], "row {} assigned twice", r);
                     seen[r as usize] = true;
                 }
-                nnz += p.nnz;
+                nnz += s.nnz;
             }
             prop_assert!(seen.iter().all(|&s| s));
             prop_assert_eq!(nnz, m.nnz());

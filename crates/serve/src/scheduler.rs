@@ -29,10 +29,12 @@
 //!    matter which queries it is co-batched with or what the batch
 //!    policy picks. Batching changes *when* a query runs, never *what*
 //!    it computes.
-//! 2. **Device-count independence** — rows are partitioned with
-//!    [`multi_gpu::partition_rows_by_bins`]; a row keeps its bin (and
-//!    its per-row accumulation order) in the device-local sub-matrix,
-//!    so results are bit-identical across device counts too.
+//! 2. **Device-count independence** — the operator is sharded by a
+//!    [`Fleet`] on the [`FleetConfig::k10`] preset (per-bin
+//!    round-robin, no replication, replicated iterates); a row keeps
+//!    its bin (and its per-row accumulation order) in the device-local
+//!    sub-matrix, so results are bit-identical across device counts
+//!    and dispatch modes too.
 //!
 //! Both are pinned by proptests in `tests/proptest_serve.rs`; the
 //! open-loop shed/admission decisions are themselves deterministic
@@ -49,13 +51,13 @@ use crate::tenant::FairShare;
 use acsr::AcsrConfig;
 use acsr_telemetry::{Telemetry, WaveRecord};
 use gpu_sim::trace::TraceLedger;
-use gpu_sim::{presets, Device, DeviceConfig, RunReport};
+use gpu_sim::{presets, DeviceBuffer, DeviceConfig, RunReport};
 use graph_apps::rwr::{rwr_operator, rwr_update_multi};
 use graph_apps::IterParams;
-use multi_gpu::{extract_rows, partition_rows_by_bins};
+use multi_gpu::{Fleet, FleetConfig, ShardFormat};
 use sparse_formats::{CsrMatrix, Scalar};
-use spmv_kernels::GpuSpmvMulti;
-use spmv_pipeline::{AcsrPlanner, FormatRegistry, PlanBudget, SpmvPlan};
+use spmv_kernels::{GpuSpmv, GpuSpmvMulti};
+use spmv_pipeline::SpmvPlan;
 use std::sync::{Arc, OnceLock};
 
 /// Serving-engine configuration.
@@ -71,14 +73,11 @@ pub struct ServeConfig {
     pub n_devices: usize,
     /// Per-query RWR iteration limits.
     pub iter: IterParams,
-    /// Registry format the per-device plans are built with. ACSR (the
-    /// default) is the only format with a *fused* multi-vector wave;
-    /// every other registry format is servable through the sequential
-    /// [`GpuSpmvMulti`] fallback.
-    pub format: &'static str,
-    /// ACSR configuration for the per-device engines (used when
-    /// `format` is "ACSR").
-    pub acsr: AcsrConfig,
+    /// Format the per-device plans are built with. ACSR (the default,
+    /// static long-tail) is the only format with a *fused* multi-vector
+    /// wave; every other registry format is servable through the
+    /// sequential [`GpuSpmvMulti`] fallback.
+    pub format: ShardFormat,
     /// Simulated device model.
     pub device: DeviceConfig,
     /// Keep each query's final relevance vector in its outcome.
@@ -92,8 +91,7 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             n_devices: 1,
             iter: IterParams::default(),
-            format: "ACSR",
-            acsr: AcsrConfig::static_long_tail(),
+            format: ShardFormat::Acsr(AcsrConfig::static_long_tail()),
             device: presets::gtx_titan(),
             keep_scores: false,
         }
@@ -139,11 +137,12 @@ impl DispatchCost {
         self.rs1 + self.rs_marg * (k.saturating_sub(1)) as f64
     }
 
-    fn query_split_s(&self, k: usize, devices: usize, sync_s: f64) -> f64 {
-        let d_active = k.min(devices).max(1);
+    /// Compute time of the busiest device when `k` whole queries are
+    /// dealt over `d_active` devices (the wave's sync is priced by the
+    /// fleet exchange on top).
+    fn query_split_compute_s(&self, k: usize, d_active: usize) -> f64 {
         let widest = k.div_ceil(d_active);
-        let sync = if d_active > 1 { sync_s } else { 0.0 };
-        self.qs1 + self.qs_marg * (widest - 1) as f64 + sync
+        self.qs1 + self.qs_marg * (widest - 1) as f64
     }
 }
 
@@ -266,15 +265,8 @@ impl<T> ServeReport<T> {
 
 /// A multi-device RWR/PPR serving engine over one graph.
 pub struct ServeEngine<T: Scalar> {
-    devices: Vec<Device>,
-    plans: Vec<SpmvPlan<T>>,
-    /// `row_maps[d][local] = global`.
-    row_maps: Vec<Vec<u32>>,
-    /// `local_of[d][global] = local`, `u32::MAX` when `d` does not own
-    /// the row.
-    local_of: Vec<Vec<u32>>,
-    rows: usize,
-    nnz: usize,
+    /// The sharded serving operator: one row-split plan per device.
+    fleet: Fleet<T>,
     config: ServeConfig,
     /// The full serving operator, kept for building replicated
     /// whole-graph plans when a wave steals queries.
@@ -288,85 +280,50 @@ pub struct ServeEngine<T: Scalar> {
     /// Serving-plane telemetry (metrics + request tracing); `None`
     /// means every record site is a single skipped branch.
     telemetry: Option<Arc<Telemetry>>,
-    /// Device barrier + hand-off cost charged once per multi-device
-    /// wave, seconds.
-    pub sync_overhead_s: f64,
 }
 
 impl<T: Scalar> ServeEngine<T> {
     /// Build a serving engine for `adjacency` (square, unnormalized).
-    /// The RWR operator (column-normalized adjacency) is partitioned
-    /// across `config.n_devices` simulated devices by bin.
+    /// The RWR operator (column-normalized adjacency) is sharded across
+    /// `config.n_devices` simulated devices by a [`FleetConfig::k10`]
+    /// fleet planning `config.format`.
     pub fn new(adjacency: &CsrMatrix<T>, config: ServeConfig) -> Self {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
         assert!(config.n_devices >= 1, "need at least one device");
         let w = rwr_operator(adjacency);
-        let parts = partition_rows_by_bins(&w, config.n_devices);
-        let mut reg = FormatRegistry::<T>::with_all();
-        reg.register(Box::new(AcsrPlanner::with_config(config.acsr)));
-        let mut devices = Vec::with_capacity(parts.len());
-        let mut plans = Vec::with_capacity(parts.len());
-        let mut row_maps = Vec::with_capacity(parts.len());
-        let mut local_of = Vec::with_capacity(parts.len());
-        for part in parts {
-            let mut cfg = config.device.clone();
-            if config.n_devices > 1 {
-                cfg.name = format!("{} #{}", cfg.name, part.device);
-            }
-            let dev = Device::new(cfg);
-            let sub = extract_rows(&w, &part.rows);
-            let budget = PlanBudget::for_device(dev.config());
-            plans.push(
-                reg.plan(config.format, &dev, &sub, &budget)
-                    .expect("serving plan must fit the device"),
-            );
-            devices.push(dev);
-            let mut lookup = vec![u32::MAX; w.rows()];
-            for (local, &global) in part.rows.iter().enumerate() {
-                lookup[global as usize] = local as u32;
-            }
-            local_of.push(lookup);
-            row_maps.push(part.rows);
-        }
+        let fleet_cfg = FleetConfig {
+            format: config.format.clone(),
+            ..FleetConfig::k10(config.n_devices)
+        };
         ServeEngine {
-            devices,
-            plans,
-            row_maps,
-            local_of,
-            rows: w.rows(),
-            nnz: w.nnz(),
+            fleet: Fleet::new(&w, &config.device, &fleet_cfg),
             config,
             operator: w,
             full_plans: OnceLock::new(),
             dispatch_cost: OnceLock::new(),
             telemetry: acsr_telemetry::active(),
-            sync_overhead_s: 20e-6,
         }
     }
 
     /// Graph nodes (rows of the serving operator).
     pub fn rows(&self) -> usize {
-        self.rows
+        self.operator.rows()
     }
 
     /// Non-zeros of the serving operator.
     pub fn nnz(&self) -> usize {
-        self.nnz
+        self.operator.nnz()
     }
 
     /// Devices serving waves.
     pub fn n_devices(&self) -> usize {
-        self.devices.len()
+        self.fleet.n_devices()
     }
 
     /// Attach one shared trace ledger to every device and return it, so
     /// the next [`Self::serve`] records a device-tagged span timeline.
     pub fn enable_tracing(&mut self) -> Arc<TraceLedger> {
-        let ledger = Arc::new(TraceLedger::new());
-        for dev in &mut self.devices {
-            dev.attach_ledger(ledger.clone());
-        }
-        ledger
+        self.fleet.enable_tracing()
     }
 
     /// Attach serving-plane telemetry: subsequent serve runs record
@@ -410,7 +367,7 @@ impl<T: Scalar> ServeEngine<T> {
                 .then(a.id.cmp(&b.id))
         });
         for q in &stream {
-            assert!(q.seed < self.rows, "query {} seed out of range", q.id);
+            assert!(q.seed < self.rows(), "query {} seed out of range", q.id);
         }
 
         let mut queue = SubmissionQueue::new(policy.queue_capacity);
@@ -418,7 +375,7 @@ impl<T: Scalar> ServeEngine<T> {
         let mut active: Vec<Active<T>> = Vec::new();
         let mut outcomes: Vec<QueryOutcome<T>> = Vec::new();
         let mut deadline_shed: Vec<u64> = Vec::new();
-        let mut device_reports = vec![RunReport::default(); self.devices.len()];
+        let mut device_reports = vec![RunReport::default(); self.n_devices()];
         let mut wave_widths: Vec<usize> = Vec::new();
         let mut wave_modes: Vec<DispatchMode> = Vec::new();
         let mut next_arrival = 0usize;
@@ -502,7 +459,7 @@ impl<T: Scalar> ServeEngine<T> {
                         t_start_s: clock,
                         dur_s: wave_time,
                         width: active.len(),
-                        devices: self.devices.len(),
+                        devices: self.n_devices(),
                         queries: active.iter().map(|a| a.q.id).collect(),
                     },
                     mode == DispatchMode::QuerySplit,
@@ -538,7 +495,7 @@ impl<T: Scalar> ServeEngine<T> {
             wave_widths,
             wave_modes,
             device_reports,
-            nnz: self.nnz,
+            nnz: self.nnz(),
         };
         if let Some(s) = scope {
             // Hard accounting check, then publish into the shared
@@ -550,7 +507,7 @@ impl<T: Scalar> ServeEngine<T> {
 
     /// Set (or clear) the wave correlation id on every traced device.
     fn set_wave_context(&self, wave: Option<u64>) {
-        for dev in &self.devices {
+        for (dev, _, _) in self.fleet.shards() {
             if let Some(ledger) = dev.ledger() {
                 ledger.set_wave(wave);
             }
@@ -594,7 +551,7 @@ impl<T: Scalar> ServeEngine<T> {
             if let Some(s) = scope.as_mut() {
                 s.on_admitted(now, &q);
             }
-            let mut r = vec![T::ZERO; self.rows];
+            let mut r = vec![T::ZERO; self.rows()];
             r[q.seed] = T::ONE; // r⁰ = e_seed
             active.push(Active {
                 q,
@@ -608,56 +565,78 @@ impl<T: Scalar> ServeEngine<T> {
     /// Execute one batched RWR iteration for `active` across all
     /// devices; returns the next iterates and the wave's modeled time.
     fn wave(&self, active: &[Active<T>], device_reports: &mut [RunReport]) -> (Vec<Vec<T>>, f64) {
-        let k = active.len();
-        let c: Vec<T> = active.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
-        let restart: Vec<T> = active
+        let queries: Vec<&Active<T>> = active.iter().collect();
+        let mut new_r: Vec<Vec<T>> = vec![vec![T::ZERO; self.rows()]; active.len()];
+        let mut ready = vec![None; self.n_devices()];
+        for (d, (_, plan, rows)) in self.fleet.shards().enumerate() {
+            // An empty shard: more devices than this graph's bins feed.
+            let Some(plan) = plan else { continue };
+            let (nexts, t) = self.iterate_on(d, plan, Some(rows), &queries, device_reports);
+            for (r, next) in new_r.iter_mut().zip(&nexts) {
+                for (&g, &val) in rows.iter().zip(next.as_slice()) {
+                    r[g as usize] = val;
+                }
+            }
+            ready[d] = Some(t);
+        }
+        (new_r, self.wave_end(&ready, active.len()))
+    }
+
+    /// Run one batched RWR iteration for `queries` on device `d` over
+    /// `plan`, whose local row `l` is global row `rows[l]` (`None`: the
+    /// plan covers every row): upload every iterate in full, one batched
+    /// SpMV, one batched update, read the local rows back. Returns the
+    /// next local iterates and the device's modeled time, merging its
+    /// accounting into `device_reports[d]`.
+    fn iterate_on(
+        &self,
+        d: usize,
+        plan: &SpmvPlan<T>,
+        rows: Option<&[u32]>,
+        queries: &[&Active<T>],
+        device_reports: &mut [RunReport],
+    ) -> (Vec<DeviceBuffer<T>>, f64) {
+        let dev = self.fleet.device(d);
+        let (k, local_n) = (queries.len(), plan.rows());
+        let elt = std::mem::size_of::<T>();
+        let c: Vec<T> = queries.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
+        let restart: Vec<T> = queries
             .iter()
             .map(|a| T::from_f64(1.0 - a.q.restart_c))
             .collect();
-        let mut new_r: Vec<Vec<T>> = vec![vec![T::ZERO; self.rows]; k];
-        let mut wave_time = 0.0f64;
-        for (d, dev) in self.devices.iter().enumerate() {
-            let local_n = self.row_maps[d].len();
-            if local_n == 0 {
-                continue; // more devices than this graph's bins can feed
-            }
-            let elt = std::mem::size_of::<T>();
-            // each device gets every active iterate in full width
-            let mut rep = dev.record_htod("serve_x_upload", (k * self.rows * elt) as u64);
-            let xs: Vec<_> = active.iter().map(|a| dev.alloc(a.r.clone())).collect();
-            let tmps: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
-            let xr: Vec<_> = xs.iter().collect();
-            let tr: Vec<_> = tmps.iter().collect();
-            rep = rep.then(&self.plans[d].spmv_multi(dev, &xr, &tr));
-            let seeds: Vec<Option<usize>> = active
-                .iter()
-                .map(|a| match self.local_of[d][a.q.seed] {
-                    u32::MAX => None,
-                    local => Some(local as usize),
-                })
-                .collect();
-            let nexts: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
-            let nr: Vec<_> = nexts.iter().collect();
-            rep = rep.then(&rwr_update_multi(dev, &tr, &c, &restart, &seeds, &nr));
-            rep = rep.then(&dev.record_dtoh("serve_y_readback", (k * local_n * elt) as u64));
-            for (v, next) in nexts.iter().enumerate() {
-                let local = next.as_slice();
-                for (l, &g) in self.row_maps[d].iter().enumerate() {
-                    new_r[v][g as usize] = local[l];
-                }
-            }
-            wave_time = wave_time.max(rep.time_s);
-            device_reports[d] = device_reports[d].clone().then(&rep);
-        }
-        if self.devices.len() > 1 {
-            wave_time += self.sync_overhead_s;
-        }
-        (new_r, wave_time)
+        let mut rep = dev.record_htod("serve_x_upload", (k * self.rows() * elt) as u64);
+        let xs: Vec<_> = queries.iter().map(|a| dev.alloc(a.r.clone())).collect();
+        let tmps: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
+        let xr: Vec<_> = xs.iter().collect();
+        let tr: Vec<_> = tmps.iter().collect();
+        rep = rep.then(&plan.spmv_multi(dev, &xr, &tr));
+        let seeds: Vec<Option<usize>> = queries
+            .iter()
+            .map(|a| match rows {
+                Some(rows) => rows.binary_search(&(a.q.seed as u32)).ok(),
+                None => Some(a.q.seed),
+            })
+            .collect();
+        let nexts: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
+        let nr: Vec<_> = nexts.iter().collect();
+        rep = rep.then(&rwr_update_multi(dev, &tr, &c, &restart, &seeds, &nr));
+        rep = rep.then(&dev.record_dtoh("serve_y_readback", (k * local_n * elt) as u64));
+        let time = rep.time_s;
+        device_reports[d] = device_reports[d].clone().then(&rep);
+        (nexts, time)
+    }
+
+    /// Modeled time of a wave whose devices finished at `ready` over
+    /// `k` queries: the slowest device, or the fleet exchange's last
+    /// transfer when it lands later.
+    fn wave_end(&self, ready: &[Option<f64>], k: usize) -> f64 {
+        let compute = ready.iter().flatten().fold(0.0f64, |a, &b| a.max(b));
+        compute.max(self.fleet.exchange_after(ready, k).end_s())
     }
 
     /// Resolve the policy's dispatch for a wave of `k` queries.
     fn choose_mode(&self, policy: DispatchPolicy, k: usize) -> DispatchMode {
-        if self.devices.len() <= 1 {
+        if self.n_devices() <= 1 {
             // One device: stealing degenerates to the same single-plan
             // wave; keep the row-split path and build nothing extra.
             return DispatchMode::RowSplit;
@@ -667,8 +646,12 @@ impl<T: Scalar> ServeEngine<T> {
             DispatchPolicy::QuerySplit => DispatchMode::QuerySplit,
             DispatchPolicy::Auto => {
                 let cost = self.dispatch_cost();
-                let qs = cost.query_split_s(k, self.devices.len(), self.sync_overhead_s);
-                if qs < cost.row_split_s(k) {
+                let d_active = self.steal_width(k);
+                let t = cost.query_split_compute_s(k, d_active);
+                let ready: Vec<Option<f64>> = (0..self.n_devices())
+                    .map(|d| (d < d_active).then_some(t))
+                    .collect();
+                if self.wave_end(&ready, k) < cost.row_split_s(k) {
                     DispatchMode::QuerySplit
                 } else {
                     DispatchMode::RowSplit
@@ -686,14 +669,15 @@ impl<T: Scalar> ServeEngine<T> {
     /// reports, metrics, and wave correlation never see them.
     fn dispatch_cost(&self) -> DispatchCost {
         *self.dispatch_cost.get_or_init(|| {
-            let mut scratch = vec![RunReport::default(); self.devices.len()];
+            let mut scratch = vec![RunReport::default(); self.n_devices()];
             let (_, rs1) = self.wave(&self.probe_wave(1), &mut scratch);
             let (_, rs2) = self.wave(&self.probe_wave(2), &mut scratch);
             let probes = self.probe_wave(2);
             let one: Vec<&Active<T>> = probes[..1].iter().collect();
             let two: Vec<&Active<T>> = probes.iter().collect();
-            let qs1 = self.steal_on_device(0, &one, &mut scratch).1;
-            let qs2 = self.steal_on_device(0, &two, &mut scratch).1;
+            let full = &self.full_plans()[0];
+            let qs1 = self.iterate_on(0, full, None, &one, &mut scratch).1;
+            let qs2 = self.iterate_on(0, full, None, &two, &mut scratch).1;
             DispatchCost {
                 rs1,
                 rs_marg: (rs2 - rs1).max(0.0),
@@ -708,8 +692,8 @@ impl<T: Scalar> ServeEngine<T> {
     fn probe_wave(&self, k: usize) -> Vec<Active<T>> {
         (0..k)
             .map(|i| {
-                let seed = i % self.rows;
-                let mut r = vec![T::ZERO; self.rows];
+                let seed = i % self.rows();
+                let mut r = vec![T::ZERO; self.rows()];
                 r[seed] = T::ONE;
                 Active {
                     q: Query {
@@ -730,87 +714,44 @@ impl<T: Scalar> ServeEngine<T> {
     /// Replicated whole-graph plans, one per device, built on the first
     /// query-split wave (a row-split-only engine never pays for them).
     fn full_plans(&self) -> &[SpmvPlan<T>] {
-        self.full_plans.get_or_init(|| {
-            let mut reg = FormatRegistry::<T>::with_all();
-            reg.register(Box::new(AcsrPlanner::with_config(self.config.acsr)));
-            self.devices
-                .iter()
-                .map(|dev| {
-                    let budget = PlanBudget::for_device(dev.config());
-                    reg.plan(self.config.format, dev, &self.operator, &budget)
-                        .expect("replicated serving plan must fit the device")
-                })
-                .collect()
-        })
+        self.full_plans
+            .get_or_init(|| self.fleet.plan_replicated(&self.operator))
     }
 
-    /// Run `mine` whole queries end to end on device `d`'s replicated
-    /// full-graph plan; returns their next iterates (parallel to `mine`)
-    /// and the device's modeled time, merging the kernel/transfer
-    /// accounting into `device_reports[d]`.
-    fn steal_on_device(
-        &self,
-        d: usize,
-        mine: &[&Active<T>],
-        device_reports: &mut [RunReport],
-    ) -> (Vec<Vec<T>>, f64) {
-        let dev = &self.devices[d];
-        let plan = &self.full_plans()[d];
-        let kd = mine.len();
-        let elt = std::mem::size_of::<T>();
-        let c: Vec<T> = mine.iter().map(|a| T::from_f64(a.q.restart_c)).collect();
-        let restart: Vec<T> = mine
-            .iter()
-            .map(|a| T::from_f64(1.0 - a.q.restart_c))
-            .collect();
-        let mut rep = dev.record_htod("serve_x_upload", (kd * self.rows * elt) as u64);
-        let xs: Vec<_> = mine.iter().map(|a| dev.alloc(a.r.clone())).collect();
-        let tmps: Vec<_> = (0..kd).map(|_| dev.alloc_zeroed::<T>(self.rows)).collect();
-        let xr: Vec<_> = xs.iter().collect();
-        let tr: Vec<_> = tmps.iter().collect();
-        rep = rep.then(&plan.spmv_multi(dev, &xr, &tr));
-        // The replicated plan covers every row, so seeds stay global.
-        let seeds: Vec<Option<usize>> = mine.iter().map(|a| Some(a.q.seed)).collect();
-        let nexts: Vec<_> = (0..kd).map(|_| dev.alloc_zeroed::<T>(self.rows)).collect();
-        let nr: Vec<_> = nexts.iter().collect();
-        rep = rep.then(&rwr_update_multi(dev, &tr, &c, &restart, &seeds, &nr));
-        rep = rep.then(&dev.record_dtoh("serve_y_readback", (kd * self.rows * elt) as u64));
-        let out: Vec<Vec<T>> = nexts.iter().map(|n| n.as_slice().to_vec()).collect();
-        let time = rep.time_s;
-        device_reports[d] = device_reports[d].clone().then(&rep);
-        (out, time)
+    /// Devices a query-split wave of `k` queries occupies.
+    fn steal_width(&self, k: usize) -> usize {
+        k.min(self.n_devices()).max(1)
     }
 
     /// Execute one wave by whole-query stealing: query `i` runs end to
     /// end on device `i % d_active`'s replicated full-graph plan, so a
     /// wave narrower than the fleet leaves the surplus devices untouched
     /// instead of underfeeding all of them — and a single active device
-    /// skips the multi-device sync entirely. Per query the batched
-    /// kernels execute the exact single-vector float-op sequence (the
-    /// batch- and device-count-independence invariants), so the iterates
-    /// are bit-identical to a row-split wave's.
+    /// skips the multi-device sync entirely (the fleet exchange prices
+    /// only the active devices' hand-offs). Per query the batched kernels
+    /// execute the exact single-vector float-op sequence (the batch- and
+    /// device-count-independence invariants), so the iterates are
+    /// bit-identical to a row-split wave's.
     fn wave_steal(
         &self,
         active: &[Active<T>],
         device_reports: &mut [RunReport],
     ) -> (Vec<Vec<T>>, f64) {
         let k = active.len();
-        let d_active = k.min(self.devices.len()).max(1);
+        let d_active = self.steal_width(k);
         let mut new_r: Vec<Vec<T>> = vec![Vec::new(); k];
-        let mut wave_time = 0.0f64;
-        for d in 0..d_active {
+        let mut ready = vec![None; self.n_devices()];
+        let plans = self.full_plans().iter().zip(&mut ready);
+        for (d, (full, done)) in plans.enumerate().take(d_active) {
             let idxs: Vec<usize> = (d..k).step_by(d_active).collect();
             let mine: Vec<&Active<T>> = idxs.iter().map(|&i| &active[i]).collect();
-            let (outs, t) = self.steal_on_device(d, &mine, device_reports);
-            for (out, &i) in outs.into_iter().zip(&idxs) {
-                new_r[i] = out;
+            let (nexts, t) = self.iterate_on(d, full, None, &mine, device_reports);
+            for (next, &i) in nexts.iter().zip(&idxs) {
+                new_r[i] = next.as_slice().to_vec();
             }
-            wave_time = wave_time.max(t);
+            *done = Some(t);
         }
-        if d_active > 1 {
-            wave_time += self.sync_overhead_s;
-        }
-        (new_r, wave_time)
+        (new_r, self.wave_end(&ready, k))
     }
 
     /// Retire converged (or capped) queries at wave end `clock`;
@@ -874,7 +815,7 @@ impl<T: Scalar> ServeEngine<T> {
         restart_c: f64,
         rng_seed: u64,
     ) -> ServeReport<T> {
-        let queries = generate_queries(pattern, n_queries, self.rows, restart_c, rng_seed);
+        let queries = generate_queries(pattern, n_queries, self.rows(), restart_c, rng_seed);
         self.serve(&queries)
     }
 }
@@ -952,7 +893,7 @@ mod tests {
                 &g,
                 ServeConfig {
                     max_batch: 4,
-                    format,
+                    format: ShardFormat::Fixed(format),
                     keep_scores: true,
                     ..ServeConfig::default()
                 },

@@ -5,15 +5,18 @@
 //!    or co-batched with arbitrary other queries. Continuous batching
 //!    changes scheduling, never answers.
 //! 2. **Device-count independence** — the same holds across the number
-//!    of simulated devices the wave is spread over: the per-bin row
-//!    partition preserves every row's bin and accumulation order.
+//!    of simulated devices the wave is spread over, under every dispatch
+//!    mode (row-split, whole-query stealing, and the cost model's
+//!    per-wave choice): the per-bin row partition preserves every row's
+//!    bin and accumulation order, and a stolen query runs the same
+//!    float-op sequence on a replicated plan.
 //!
 //! Both are exercised at host worker widths 1 and 2 (the default serve
 //! configuration is `StaticLongTail`, which the simulator pins at every
 //! width), guarded by a width lock since `set_sim_threads` is
 //! process-global.
 
-use acsr_serve::{Query, QueryOutcome, ServeConfig, ServeEngine};
+use acsr_serve::{DispatchPolicy, Query, QueryOutcome, ServeConfig, ServeEngine, SloPolicy};
 use gpu_sim::set_sim_threads;
 use graphgen::{generate_power_law, PowerLawConfig};
 use proptest::prelude::*;
@@ -52,9 +55,15 @@ fn stream(n_nodes: usize, n: usize) -> Vec<Query> {
         .collect()
 }
 
-fn serve_sorted(g: &CsrMatrix<f64>, cfg: ServeConfig, queries: &[Query]) -> Vec<QueryOutcome<f64>> {
+fn serve_sorted(
+    g: &CsrMatrix<f64>,
+    cfg: ServeConfig,
+    queries: &[Query],
+    dispatch: DispatchPolicy,
+) -> Vec<QueryOutcome<f64>> {
+    let policy = SloPolicy::closed_loop(cfg.max_batch, cfg.queue_capacity).with_dispatch(dispatch);
     let engine = ServeEngine::new(g, cfg);
-    let mut outcomes = engine.serve(queries).outcomes;
+    let mut outcomes = engine.serve_slo(queries, &policy).outcomes;
     outcomes.sort_by_key(|o| o.id);
     outcomes
 }
@@ -98,16 +107,23 @@ proptest! {
         };
         for width in [1usize, 2] {
             set_sim_threads(width);
-            let solo = serve_sorted(&g, cfg(1), &queries);
-            let batched = serve_sorted(&g, cfg(k), &queries);
+            let solo = serve_sorted(&g, cfg(1), &queries, DispatchPolicy::RowSplit);
+            let batched = serve_sorted(&g, cfg(k), &queries, DispatchPolicy::RowSplit);
             set_sim_threads(0);
             assert_outcomes_bit_identical(&solo, &batched, &format!("width {width}"));
         }
     }
 
-    /// 1 device vs 2 or 3: bit-identical scores and iteration counts.
+    /// 1 device vs 2 or 3 under every dispatch mode: bit-identical
+    /// scores and iteration counts.
     #[test]
-    fn device_count_never_changes_answers(g in arb_graph(), n_devices in 2usize..4) {
+    fn device_count_never_changes_answers(
+        g in arb_graph(),
+        n_devices in 2usize..4,
+        mode in 0usize..3,
+    ) {
+        let dispatch =
+            [DispatchPolicy::RowSplit, DispatchPolicy::QuerySplit, DispatchPolicy::Auto][mode];
         let _guard = WIDTH_LOCK.lock().unwrap();
         let queries = stream(g.rows(), 4);
         let cfg = |n_devices| ServeConfig {
@@ -119,13 +135,13 @@ proptest! {
         };
         for width in [1usize, 2] {
             set_sim_threads(width);
-            let single = serve_sorted(&g, cfg(1), &queries);
-            let multi = serve_sorted(&g, cfg(n_devices), &queries);
+            let single = serve_sorted(&g, cfg(1), &queries, DispatchPolicy::RowSplit);
+            let multi = serve_sorted(&g, cfg(n_devices), &queries, dispatch);
             set_sim_threads(0);
             assert_outcomes_bit_identical(
                 &single,
                 &multi,
-                &format!("width {width}, {n_devices} devices"),
+                &format!("width {width}, {n_devices} devices, {dispatch:?}"),
             );
         }
     }

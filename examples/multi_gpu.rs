@@ -1,14 +1,14 @@
 //! Multi-GPU SpMV on the dual-GPU Tesla K10 (paper §VIII): each ACSR bin
-//! is split half/half across the two simulated GK104 devices.
+//! is split half/half across the two simulated GK104 devices of a
+//! `FleetConfig::k10` fleet.
 //!
 //! ```text
 //! cargo run --release --example multi_gpu
 //! ```
 
-use acsr_repro::acsr::AcsrConfig;
 use acsr_repro::gpu_sim::presets;
 use acsr_repro::graphgen::MatrixSpec;
-use acsr_repro::multi_gpu::MultiGpuAcsr;
+use acsr_repro::multi_gpu::{Fleet, FleetConfig};
 
 fn main() {
     let k10 = presets::tesla_k10_single();
@@ -35,10 +35,12 @@ fn main() {
         let mut y = vec![0.0; m.rows()];
         let flops = 2 * m.nnz() as u64;
 
-        let single = MultiGpuAcsr::new(&m, &k10, 1, AcsrConfig::static_long_tail());
-        let t1 = single.spmv(&x, &mut y).seconds();
-        let dual = MultiGpuAcsr::new(&m, &k10, 2, AcsrConfig::static_long_tail());
-        let rep = dual.spmv(&x, &mut y).seconds();
+        let t1 = Fleet::new(&m, &k10, &FleetConfig::k10(1))
+            .spmv(&x, &mut y)
+            .seconds();
+        let rep = Fleet::new(&m, &k10, &FleetConfig::k10(2))
+            .spmv(&x, &mut y)
+            .seconds();
         println!(
             "{:<6} {:>10} {:>12.1} {:>12.1} {:>8.2}x",
             abbrev,
