@@ -63,6 +63,12 @@ pub fn rwr_update<T: Scalar>(
 /// device-local row slice that does not contain the seed (multi-device
 /// serving). Per vector the arithmetic is exactly [`rwr_update`]'s, so a
 /// query's trajectory is independent of the batch it rides in.
+///
+/// The launch's charges depend only on the batch width and the buffers,
+/// never on `c`, `restart` or `seeds`: the seed test adds the restart
+/// term to one lane's value and changes no load, store or charge. Serving
+/// relies on this to replay a wave's update under a key that leaves the
+/// seeds out.
 pub fn rwr_update_multi<T: Scalar>(
     dev: &Device,
     xs: &[&DeviceBuffer<T>],

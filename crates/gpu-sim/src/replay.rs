@@ -34,9 +34,11 @@ use crate::counters::RunReport;
 use std::thread::ThreadId;
 
 /// Keys a device memoizes. Ping-pong iteration needs two per operator
-/// (`x`/`y` alternate between two buffer pairs); the rest lets a few
-/// operators interleave on one device without evicting each other.
-pub const REPLAY_MEMO_CAP: usize = 8;
+/// (`x`/`y` alternate between two buffer pairs); serving needs one per
+/// (plan, wave width), and its batch policies use up to 16 widths. The
+/// rest lets a few operators interleave on one device without evicting
+/// each other.
+pub const REPLAY_MEMO_CAP: usize = 32;
 
 /// How one launch relates to the device's replay scope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,6 +75,9 @@ struct Active {
 pub(crate) struct ReplayMemo {
     entries: Vec<(Box<[u64]>, Vec<Recorded>)>,
     active: Option<Active>,
+    /// Launches recorded and replayed so far (see [`Self::counts`]).
+    recorded: u64,
+    replayed: u64,
 }
 
 impl ReplayMemo {
@@ -138,8 +143,14 @@ impl ReplayMemo {
         }
     }
 
+    /// Launches recorded and launches replayed since the memo was made.
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        (self.recorded, self.replayed)
+    }
+
     /// Record a fully interpreted launch of a recording scope.
     pub(crate) fn record(&mut self, shape: (usize, usize), report: &RunReport) {
+        self.recorded += 1;
         let scope = self.active.as_mut().expect("recording needs an open scope");
         scope.launches.push(Recorded {
             grid_blocks: shape.0,
@@ -167,6 +178,7 @@ impl ReplayMemo {
             (rec.grid_blocks, rec.block_dim)
         );
         scope.next += 1;
+        self.replayed += 1;
         rec.report.clone()
     }
 }
@@ -195,6 +207,7 @@ mod tests {
         assert_eq!(m.role(), ReplayRole::Replay);
         assert_eq!(m.replay("k", (4, 128)).time_s, 1.5);
         m.close();
+        assert_eq!(m.counts(), (1, 1));
     }
 
     #[test]

@@ -160,7 +160,9 @@ impl PlanBudget {
 /// buffers interpret fully only once per buffer pair; the rest execute
 /// values-only and return the recorded reports, bit for bit.
 /// [`GpuSpmvMulti::spmv_multi`] and the raw [`SpmvPlan::engine`] do not
-/// replay.
+/// open a scope of their own: a caller that batches waves (serving)
+/// wraps them in its own scope, keyed by [`SpmvPlan::id`] and its wave
+/// buffers.
 pub struct SpmvPlan<T: Scalar> {
     /// Process-unique id: the plan part of the replay key.
     id: u64,
@@ -198,6 +200,12 @@ impl<T: Scalar> SpmvPlan<T> {
     pub fn with_upload_bytes(mut self, bytes: u64) -> Self {
         self.upload_bytes = bytes.min(self.device_bytes);
         self
+    }
+
+    /// Process-unique plan id, the plan part of a launch-replay key. A
+    /// plan never changes after planning, so the id names one operator.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Bytes copied host→device to materialize the plan (≤

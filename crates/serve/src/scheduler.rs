@@ -40,6 +40,16 @@
 //! open-loop shed/admission decisions are themselves deterministic
 //! functions of modeled time, pinned across host worker widths in
 //! `tests/slo_serving.rs`.
+//!
+//! Waves run on pooled buffers: each serve call allocates, per plan, one
+//! max-width set of wave buffers on the plan's first wave, and a wave of
+//! `k` queries uses the first `k` of each kind. Buffer placement is then
+//! fixed per (plan, width), so every device wraps a wave's batched SpMV
+//! and update in one launch-replay scope ([`gpu_sim::Device::replay_scope`])
+//! keyed by the plan id, `k` and the buffers: the first wave of each
+//! width interprets fully, later ones run values-only and replay its
+//! accounting bit for bit (`tests/replay_oracle.rs`). Traced engines
+//! never replay.
 
 use crate::latency::{count_within, LatencyStats};
 use crate::loadgen::{generate_queries, ArrivalPattern};
@@ -51,7 +61,7 @@ use crate::tenant::FairShare;
 use acsr::AcsrConfig;
 use acsr_telemetry::{Telemetry, WaveRecord};
 use gpu_sim::trace::TraceLedger;
-use gpu_sim::{presets, DeviceBuffer, DeviceConfig, RunReport};
+use gpu_sim::{presets, Device, DeviceBuffer, DeviceConfig, RunReport};
 use graph_apps::rwr::{rwr_operator, rwr_update_multi};
 use graph_apps::IterParams;
 use multi_gpu::{Fleet, FleetConfig, ShardFormat};
@@ -95,6 +105,49 @@ impl Default for ServeConfig {
             device: presets::gtx_titan(),
             keep_scores: false,
         }
+    }
+}
+
+/// One plan's wave buffers: the iterates `x` (global length), the SpMV
+/// outputs `tmp` and the next iterates (local length), one per batch
+/// slot.
+struct WaveBuffers<T> {
+    xs: Vec<DeviceBuffer<T>>,
+    tmps: Vec<DeviceBuffer<T>>,
+    nexts: Vec<DeviceBuffer<T>>,
+}
+
+/// The wave buffers of one serve call, per plan, allocated on the plan's
+/// first wave: `width` `x`s, then `width` `tmp`s, then `width` `next`s,
+/// so the `x`s sit consecutively. A plan belongs to one device, so its
+/// id names the (device, plan) pair.
+struct WavePool<T> {
+    width: usize,
+    sets: Vec<(u64, WaveBuffers<T>)>,
+}
+
+impl<T: Scalar> WavePool<T> {
+    fn new(width: usize) -> Self {
+        WavePool {
+            width,
+            sets: Vec::new(),
+        }
+    }
+
+    /// `plan`'s buffers on `dev`, for iterates of `x_len` entries.
+    fn buffers(&mut self, dev: &Device, plan: &SpmvPlan<T>, x_len: usize) -> &mut WaveBuffers<T> {
+        let at = match self.sets.iter().position(|(id, _)| *id == plan.id()) {
+            Some(at) => at,
+            None => {
+                let alloc = |len| (0..self.width).map(|_| dev.alloc_zeroed(len)).collect();
+                let xs = alloc(x_len);
+                let tmps = alloc(plan.rows());
+                let nexts = alloc(plan.rows());
+                self.sets.push((plan.id(), WaveBuffers { xs, tmps, nexts }));
+                self.sets.len() - 1
+            }
+        };
+        &mut self.sets[at].1
     }
 }
 
@@ -378,6 +431,7 @@ impl<T: Scalar> ServeEngine<T> {
         let mut device_reports = vec![RunReport::default(); self.n_devices()];
         let mut wave_widths: Vec<usize> = Vec::new();
         let mut wave_modes: Vec<DispatchMode> = Vec::new();
+        let mut pool = WavePool::new(policy.batch.max_width());
         let mut next_arrival = 0usize;
         let mut clock = 0.0f64;
         let mut scope: Option<ServeScope> = self
@@ -445,8 +499,10 @@ impl<T: Scalar> ServeEngine<T> {
                 self.set_wave_context(wave_id);
             }
             let (new_r, wave_time) = match mode {
-                DispatchMode::RowSplit => self.wave(&active, &mut device_reports),
-                DispatchMode::QuerySplit => self.wave_steal(&active, &mut device_reports),
+                DispatchMode::RowSplit => self.wave(&active, &mut pool, &mut device_reports),
+                DispatchMode::QuerySplit => {
+                    self.wave_steal(&active, &mut pool, &mut device_reports)
+                }
             };
             if wave_id.is_some() {
                 self.set_wave_context(None);
@@ -564,15 +620,20 @@ impl<T: Scalar> ServeEngine<T> {
 
     /// Execute one batched RWR iteration for `active` across all
     /// devices; returns the next iterates and the wave's modeled time.
-    fn wave(&self, active: &[Active<T>], device_reports: &mut [RunReport]) -> (Vec<Vec<T>>, f64) {
+    fn wave(
+        &self,
+        active: &[Active<T>],
+        pool: &mut WavePool<T>,
+        device_reports: &mut [RunReport],
+    ) -> (Vec<Vec<T>>, f64) {
         let queries: Vec<&Active<T>> = active.iter().collect();
         let mut new_r: Vec<Vec<T>> = vec![vec![T::ZERO; self.rows()]; active.len()];
         let mut ready = vec![None; self.n_devices()];
         for (d, (_, plan, rows)) in self.fleet.shards().enumerate() {
             // An empty shard: more devices than this graph's bins feed.
             let Some(plan) = plan else { continue };
-            let (nexts, t) = self.iterate_on(d, plan, Some(rows), &queries, device_reports);
-            for (r, next) in new_r.iter_mut().zip(&nexts) {
+            let (nexts, t) = self.iterate_on(d, plan, Some(rows), &queries, pool, device_reports);
+            for (r, next) in new_r.iter_mut().zip(nexts) {
                 for (&g, &val) in rows.iter().zip(next.as_slice()) {
                     r[g as usize] = val;
                 }
@@ -586,16 +647,25 @@ impl<T: Scalar> ServeEngine<T> {
     /// `plan`, whose local row `l` is global row `rows[l]` (`None`: the
     /// plan covers every row): upload every iterate in full, one batched
     /// SpMV, one batched update, read the local rows back. Returns the
-    /// next local iterates and the device's modeled time, merging its
-    /// accounting into `device_reports[d]`.
-    fn iterate_on(
+    /// next local iterates (in `pool`) and the device's modeled time,
+    /// merging its accounting into `device_reports[d]`.
+    ///
+    /// The iterates are written into the first `k` pooled `x`s and the
+    /// first `k` `tmp`s and `next`s are zeroed on the host, as fresh
+    /// zeroed buffers would be, at no modeled cost beyond the charged
+    /// upload. SpMV and update run in one replay scope keyed by the plan
+    /// id, `k` and those buffers: the launches depend on nothing else
+    /// (the update's seed test changes a value, never a charge), so a
+    /// repeated width replays the first one's accounting.
+    fn iterate_on<'p>(
         &self,
         d: usize,
         plan: &SpmvPlan<T>,
         rows: Option<&[u32]>,
         queries: &[&Active<T>],
+        pool: &'p mut WavePool<T>,
         device_reports: &mut [RunReport],
-    ) -> (Vec<DeviceBuffer<T>>, f64) {
+    ) -> (&'p [DeviceBuffer<T>], f64) {
         let dev = self.fleet.device(d);
         let (k, local_n) = (queries.len(), plan.rows());
         let elt = std::mem::size_of::<T>();
@@ -604,12 +674,6 @@ impl<T: Scalar> ServeEngine<T> {
             .iter()
             .map(|a| T::from_f64(1.0 - a.q.restart_c))
             .collect();
-        let mut rep = dev.record_htod("serve_x_upload", (k * self.rows() * elt) as u64);
-        let xs: Vec<_> = queries.iter().map(|a| dev.alloc(a.r.clone())).collect();
-        let tmps: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
-        let xr: Vec<_> = xs.iter().collect();
-        let tr: Vec<_> = tmps.iter().collect();
-        rep = rep.then(&plan.spmv_multi(dev, &xr, &tr));
         let seeds: Vec<Option<usize>> = queries
             .iter()
             .map(|a| match rows {
@@ -617,13 +681,36 @@ impl<T: Scalar> ServeEngine<T> {
                 None => Some(a.q.seed),
             })
             .collect();
-        let nexts: Vec<_> = (0..k).map(|_| dev.alloc_zeroed::<T>(local_n)).collect();
-        let nr: Vec<_> = nexts.iter().collect();
-        rep = rep.then(&rwr_update_multi(dev, &tr, &c, &restart, &seeds, &nr));
+        let bufs = pool.buffers(dev, plan, self.rows());
+        for (x, a) in bufs.xs.iter_mut().zip(queries) {
+            x.as_mut_slice().copy_from_slice(&a.r);
+        }
+        for b in bufs.tmps[..k].iter_mut().chain(&mut bufs.nexts[..k]) {
+            b.as_mut_slice().fill(T::ZERO);
+        }
+        let bufs: &'p WaveBuffers<T> = bufs;
+        let xr: Vec<_> = bufs.xs[..k].iter().collect();
+        let tr: Vec<_> = bufs.tmps[..k].iter().collect();
+        let nr: Vec<_> = bufs.nexts[..k].iter().collect();
+        let key: Vec<u64> = [plan.id(), k as u64]
+            .into_iter()
+            .chain(
+                xr.iter()
+                    .chain(&tr)
+                    .chain(&nr)
+                    .flat_map(|b| [b.base_addr(), b.len() as u64]),
+            )
+            .collect();
+        let mut rep = dev.record_htod("serve_x_upload", (k * self.rows() * elt) as u64);
+        let (spmv, update) = dev.replay_scope(&key, || {
+            let spmv = plan.spmv_multi(dev, &xr, &tr);
+            (spmv, rwr_update_multi(dev, &tr, &c, &restart, &seeds, &nr))
+        });
+        rep = rep.then(&spmv).then(&update);
         rep = rep.then(&dev.record_dtoh("serve_y_readback", (k * local_n * elt) as u64));
         let time = rep.time_s;
         device_reports[d] = device_reports[d].clone().then(&rep);
-        (nexts, time)
+        (&bufs.nexts[..k], time)
     }
 
     /// Modeled time of a wave whose devices finished at `ready` over
@@ -665,19 +752,21 @@ impl<T: Scalar> ServeEngine<T> {
     /// give that mode's intercept and slope, and whole-query runs of 1
     /// and 2 queries on device 0's replicated plan give the per-device
     /// query-split terms. Probe accounting goes to a scratch accumulator
-    /// (and probes run before any wave id is staged), so serving
-    /// reports, metrics, and wave correlation never see them.
+    /// and probe buffers to a pool of their own (and probes run before
+    /// any wave id is staged), so serving reports, metrics, wave
+    /// correlation and the serving pool never see them.
     fn dispatch_cost(&self) -> DispatchCost {
         *self.dispatch_cost.get_or_init(|| {
             let mut scratch = vec![RunReport::default(); self.n_devices()];
-            let (_, rs1) = self.wave(&self.probe_wave(1), &mut scratch);
-            let (_, rs2) = self.wave(&self.probe_wave(2), &mut scratch);
+            let mut pool = WavePool::new(2);
+            let (_, rs1) = self.wave(&self.probe_wave(1), &mut pool, &mut scratch);
+            let (_, rs2) = self.wave(&self.probe_wave(2), &mut pool, &mut scratch);
             let probes = self.probe_wave(2);
             let one: Vec<&Active<T>> = probes[..1].iter().collect();
             let two: Vec<&Active<T>> = probes.iter().collect();
             let full = &self.full_plans()[0];
-            let qs1 = self.iterate_on(0, full, None, &one, &mut scratch).1;
-            let qs2 = self.iterate_on(0, full, None, &two, &mut scratch).1;
+            let (_, qs1) = self.iterate_on(0, full, None, &one, &mut pool, &mut scratch);
+            let (_, qs2) = self.iterate_on(0, full, None, &two, &mut pool, &mut scratch);
             DispatchCost {
                 rs1,
                 rs_marg: (rs2 - rs1).max(0.0),
@@ -735,6 +824,7 @@ impl<T: Scalar> ServeEngine<T> {
     fn wave_steal(
         &self,
         active: &[Active<T>],
+        pool: &mut WavePool<T>,
         device_reports: &mut [RunReport],
     ) -> (Vec<Vec<T>>, f64) {
         let k = active.len();
@@ -745,7 +835,7 @@ impl<T: Scalar> ServeEngine<T> {
         for (d, (full, done)) in plans.enumerate().take(d_active) {
             let idxs: Vec<usize> = (d..k).step_by(d_active).collect();
             let mine: Vec<&Active<T>> = idxs.iter().map(|&i| &active[i]).collect();
-            let (nexts, t) = self.iterate_on(d, full, None, &mine, device_reports);
+            let (nexts, t) = self.iterate_on(d, full, None, &mine, pool, device_reports);
             for (next, &i) in nexts.iter().zip(&idxs) {
                 new_r[i] = next.as_slice().to_vec();
             }
@@ -1056,6 +1146,57 @@ mod tests {
         assert_eq!(empty.gflops(), 0.0);
         assert_eq!(empty.attainment(1.0), 1.0, "vacuously attained");
         assert!(empty.makespan_s == 0.0);
+    }
+
+    #[test]
+    fn each_plan_and_width_records_once_per_call_and_later_waves_replay() {
+        // The fused ACSR wave is the same launches at every width, so a
+        // device's launches split into `per_wave` × distinct widths
+        // recorded and the rest replayed. A second call pools fresh
+        // buffers, so it records each width again.
+        let g = graph(300, 215);
+        let queries = generate_queries(
+            ArrivalPattern::Poisson { rate_qps: 20_000.0 },
+            24,
+            g.rows(),
+            0.85,
+            9,
+        );
+        let policy = SloPolicy::open_loop(5e-3, 8, 32);
+        for n_devices in [1, 2] {
+            let engine = ServeEngine::new(
+                &g,
+                ServeConfig {
+                    n_devices,
+                    ..ServeConfig::default()
+                },
+            );
+            let counts = || -> Vec<(u64, u64)> {
+                (0..n_devices)
+                    .map(|d| engine.fleet.device(d).replay_counts())
+                    .collect()
+            };
+            for call in 0..2 {
+                let before = counts();
+                let report = engine.serve_slo(&queries, &policy);
+                let mut widths = report.wave_widths.clone();
+                widths.sort_unstable();
+                widths.dedup();
+                assert!(widths.len() > 1 && report.waves > 2 * widths.len());
+                for (d, (b, a)) in before.iter().zip(counts()).enumerate() {
+                    let (recorded, replayed) = (a.0 - b.0, a.1 - b.1);
+                    let per_wave = (recorded + replayed) / report.waves as u64;
+                    let what = format!("{n_devices} devices, call {call}, device {d}");
+                    assert!(per_wave > 0, "{what}: no wave ran in a replay scope");
+                    assert_eq!(
+                        recorded + replayed,
+                        per_wave * report.waves as u64,
+                        "{what}"
+                    );
+                    assert_eq!(recorded, per_wave * widths.len() as u64, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,9 +49,14 @@ echo "==> sim-throughput smoke (repro simbench --quick)"
 test -s results/BENCH_sim_throughput.json
 ./target/release/repro check-artifacts results/BENCH_sim_throughput.json
 
-echo "==> slo smoke (repro slo --quick)"
+echo "==> slo smoke (repro slo --quick, default width and ACSR_SIM_THREADS=1 byte-identical)"
+slo_w1="$(mktemp)"
+ACSR_SIM_THREADS=1 ./target/release/repro slo --quick > /dev/null
+cp results/BENCH_slo.json "$slo_w1"
 ./target/release/repro slo --quick > /dev/null
 test -s results/BENCH_slo.json
+cmp "$slo_w1" results/BENCH_slo.json
+rm -f "$slo_w1"
 ./target/release/repro check-artifacts results/BENCH_slo.json
 
 echo "==> fleet smoke (repro fleet --quick)"
