@@ -187,25 +187,23 @@ pub fn partition_fleet<T: Scalar>(
         })
         .collect();
     // Hot-row census: how many non-owner shards read each row's value.
-    let mut ref_shards: BTreeMap<u32, usize> = BTreeMap::new();
-    for shard_refs in &refs {
-        for &c in shard_refs {
-            *ref_shards.entry(c).or_insert(0) += 1;
-        }
+    let mut ref_shards = vec![0u32; rows];
+    for &c in refs.iter().flatten() {
+        ref_shards[c as usize] += 1;
     }
     let mut hot: Vec<u32> = if policy.min_referencing_shards == 0 {
         Vec::new()
     } else {
-        ref_shards
-            .iter()
-            .filter(|&(&c, &n)| {
-                n >= policy.min_referencing_shards && m.row_nnz(c as usize) <= policy.max_row_len
+        (0..rows)
+            .filter(|&c| {
+                ref_shards[c] as usize >= policy.min_referencing_shards
+                    && m.row_nnz(c) <= policy.max_row_len
             })
-            .map(|(&c, _)| c)
+            .map(|c| c as u32)
             .collect()
     };
     // Most-referenced first under the redundancy cap, then ascending.
-    hot.sort_by_key(|&c| (std::cmp::Reverse(ref_shards[&c]), c));
+    hot.sort_unstable_by_key(|&c| (std::cmp::Reverse(ref_shards[c as usize]), c));
     let cap = (policy.max_fraction * rows as f64).floor() as usize;
     hot.truncate(cap);
     hot.sort_unstable();

@@ -3,12 +3,15 @@
 //! replication / halo bookkeeping is internally consistent — every
 //! input a shard's computed rows read is owned, replicated, or imported
 //! exactly once, replicas are hot rows owned elsewhere, and the
-//! replication policy's caps hold.
+//! replication policy's caps hold. The hot-row census also matches a
+//! reference implementation that counts referencing shards in an ordered
+//! map.
 
 use graphgen::{generate_power_law, PowerLawConfig};
-use multi_gpu::{partition_fleet, FleetPartition, ReplicationPolicy};
+use multi_gpu::{partition_fleet, FleetPartition, ReplicationPolicy, ShardPlan};
 use proptest::prelude::*;
 use sparse_formats::CsrMatrix;
+use std::collections::BTreeMap;
 
 const DEVICE_COUNTS: [usize; 4] = [3, 5, 8, 16];
 
@@ -128,8 +131,144 @@ fn assert_fleet_invariants(
     }
 }
 
+/// Rebuild `fp` from its owned rows with an ordered-map census: count
+/// the non-owner shards reading each row, keep the short rows read by
+/// enough shards, take the most-referenced first (ties ascending) up to
+/// the redundancy cap, then derive replicas, halos and loads. Also
+/// returns how many rows qualified before the cap.
+fn reference_partition(
+    m: &CsrMatrix<f64>,
+    policy: &ReplicationPolicy,
+    fp: &FleetPartition,
+) -> (FleetPartition, usize) {
+    let rows = m.rows();
+    let owner = &fp.owner;
+    let remote_inputs = |d: usize, computed: &mut dyn Iterator<Item = u32>| -> Vec<u32> {
+        let mut cols: Vec<u32> = computed
+            .flat_map(|r| m.row(r as usize).0.iter().copied())
+            .filter(|&c| (c as usize) < rows && owner[c as usize] as usize != d)
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    };
+    let refs: Vec<Vec<u32>> = fp
+        .shards
+        .iter()
+        .map(|s| remote_inputs(s.device, &mut s.owned.iter().copied()))
+        .collect();
+    let mut census: BTreeMap<u32, usize> = BTreeMap::new();
+    for &c in refs.iter().flatten() {
+        *census.entry(c).or_insert(0) += 1;
+    }
+    let mut hot: Vec<u32> = if policy.min_referencing_shards == 0 {
+        Vec::new()
+    } else {
+        census
+            .iter()
+            .filter(|&(&c, &n)| {
+                n >= policy.min_referencing_shards && m.row_nnz(c as usize) <= policy.max_row_len
+            })
+            .map(|(&c, _)| c)
+            .collect()
+    };
+    hot.sort_by_key(|&c| (std::cmp::Reverse(census[&c]), c));
+    let qualified = hot.len();
+    hot.truncate((policy.max_fraction * rows as f64).floor() as usize);
+    hot.sort_unstable();
+    let shards = fp
+        .shards
+        .iter()
+        .zip(&refs)
+        .map(|(s, shard_refs)| {
+            let replicas: Vec<u32> = shard_refs
+                .iter()
+                .copied()
+                .filter(|c| hot.binary_search(c).is_ok())
+                .collect();
+            let halo: Vec<u32> =
+                remote_inputs(s.device, &mut s.owned.iter().chain(&replicas).copied())
+                    .into_iter()
+                    .filter(|c| replicas.binary_search(c).is_err())
+                    .collect();
+            let mut halo_in: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+            for c in halo {
+                halo_in
+                    .entry(owner[c as usize] as usize)
+                    .or_default()
+                    .push(c);
+            }
+            let nnz = s
+                .owned
+                .iter()
+                .chain(&replicas)
+                .map(|&r| m.row_nnz(r as usize))
+                .sum();
+            ShardPlan {
+                device: s.device,
+                owned: s.owned.clone(),
+                replicas,
+                halo_in: halo_in.into_iter().collect(),
+                nnz,
+            }
+        })
+        .collect();
+    let reference = FleetPartition {
+        shards,
+        hot_rows: hot,
+        owner: owner.clone(),
+    };
+    (reference, qualified)
+}
+
+/// Replication policies the census oracle runs under: the default, off,
+/// and one whose cap keeps fewer rows than qualify, so ties between
+/// equally referenced rows are cut by row id.
+fn census_policies() -> [ReplicationPolicy; 3] {
+    [
+        ReplicationPolicy::default(),
+        ReplicationPolicy::disabled(),
+        ReplicationPolicy {
+            min_referencing_shards: 1,
+            max_row_len: 64,
+            max_fraction: 0.02,
+        },
+    ]
+}
+
+/// `partition_fleet` equals the ordered-map reference at N ∈ {2, 3, 4,
+/// 8, 16} under every census policy; the truncating policy must actually
+/// truncate somewhere, or the tie rule went untested.
+fn assert_census_matches_reference(m: &CsrMatrix<f64>) -> bool {
+    let mut truncated = false;
+    for n in [2usize, 3, 4, 8, 16] {
+        for policy in census_policies() {
+            let fp = partition_fleet(m, n, &policy);
+            let (want, qualified) = reference_partition(m, &policy, &fp);
+            assert_eq!(fp, want, "{n} devices, {policy:?}");
+            truncated |= qualified > fp.hot_rows.len();
+        }
+    }
+    truncated
+}
+
+#[test]
+fn census_matches_ordered_map_reference() {
+    let m = matrix(3000, 1501);
+    assert!(
+        assert_census_matches_reference(&m),
+        "the capped policy never truncated its candidates"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The census oracle on random power-law graphs.
+    #[test]
+    fn census_matches_reference_on_random_graphs(rows in 60usize..500, seed in 1u64..5000) {
+        assert_census_matches_reference(&matrix(rows, seed));
+    }
 
     /// The bin partition behind `partition_fleet` (replication off, so
     /// every shard computes exactly its owned rows) at N ∈ {3, 5, 8, 16}:
