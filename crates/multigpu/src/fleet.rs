@@ -34,7 +34,7 @@ use crate::record_device_gauges;
 use acsr::AcsrConfig;
 use acsr_telemetry::MetricsRegistry;
 use gpu_sim::trace::TraceLedger;
-use gpu_sim::{Device, DeviceConfig, RunReport};
+use gpu_sim::{Device, DeviceBuffer, DeviceConfig, RunReport};
 use sparse_formats::{CsrMatrix, Scalar};
 use spmv_kernels::GpuSpmv;
 use spmv_pipeline::{
@@ -208,6 +208,10 @@ pub struct Fleet<T: Scalar> {
     partition: FleetPartition,
     /// `compute_rows[d][local] = global` for every computed row.
     compute_rows: Vec<Vec<u32>>,
+    /// Per-shard `(x, y)` device buffers of [`Self::spmv`] (`None` for
+    /// an empty shard), allocated by its first call and reused by every
+    /// later one; empty until then.
+    io: Vec<Option<(DeviceBuffer<T>, DeviceBuffer<T>)>>,
     formats: Vec<String>,
     format: ShardFormat,
     link: LinkModel,
@@ -250,6 +254,7 @@ impl<T: Scalar> Fleet<T> {
             plans,
             partition,
             compute_rows,
+            io: Vec::new(),
             formats,
             format: cfg.format.clone(),
             link: cfg.link,
@@ -386,18 +391,38 @@ impl<T: Scalar> Fleet<T> {
     /// schedules the step's halo transfers or hand-offs, ready at each
     /// producer's finish; halo ingress is booked on the receiving
     /// device, while hand-offs to the host sink touch no device.
-    pub fn spmv(&self, x: &[T], y: &mut [T]) -> FleetReport {
+    ///
+    /// The fleet holds one `(x, y)` device-buffer pair per non-empty
+    /// shard, allocated by the first call. Every call writes `x` into
+    /// the shard's `x` buffer and zero-fills its `y` buffer on the host,
+    /// as fresh buffers would be, at no modeled cost. Each shard's plan
+    /// therefore sees the same buffers on every call, so from the second
+    /// call on it replays the first call's launch accounting
+    /// ([`SpmvPlan`]'s replay key) and runs its kernels for values only.
+    pub fn spmv(&mut self, x: &[T], y: &mut [T]) -> FleetReport {
         assert_eq!(x.len(), self.cols, "x length mismatch");
         assert_eq!(y.len(), self.rows, "y length mismatch");
+        if self.io.is_empty() {
+            self.io = self
+                .shards()
+                .map(|(dev, plan, _)| {
+                    plan.map(|p| (dev.alloc_zeroed(self.cols), dev.alloc_zeroed(p.rows())))
+                })
+                .collect();
+        }
+        for (xd, yd) in self.io.iter_mut().flatten() {
+            xd.as_mut_slice().copy_from_slice(x);
+            yd.as_mut_slice().fill(T::ZERO);
+        }
         let n = self.devices.len();
         let mut per_device = vec![RunReport::default(); n];
         let mut compute = vec![0.0f64; n];
         let mut ready = vec![None; n];
-        for (d, (dev, plan, rows)) in self.shards().enumerate() {
-            let Some(plan) = plan else { continue };
-            let xd = dev.alloc(x.to_vec());
-            let yd = dev.alloc_zeroed::<T>(plan.rows());
-            let rep = plan.spmv(dev, &xd, &yd);
+        for (d, ((dev, plan, rows), io)) in self.shards().zip(&self.io).enumerate() {
+            let (Some(plan), Some((xd, yd))) = (plan, io) else {
+                continue;
+            };
+            let rep = plan.spmv(dev, xd, yd);
             let local = yd.as_slice();
             for (l, &g) in rows.iter().enumerate() {
                 if self.partition.owner[g as usize] as usize == d {
@@ -544,7 +569,7 @@ mod tests {
                 format: ShardFormat::Fixed(name),
                 ..FleetConfig::k10(2)
             };
-            let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &cfg);
+            let mut fleet = Fleet::new(&m, &presets::tesla_k10_single(), &cfg);
             assert_eq!(fleet.formats(), [name, name]);
             let mut y = vec![0.0; m.rows()];
             let rep = fleet.spmv(&x, &mut y);
@@ -574,7 +599,7 @@ mod tests {
     fn handoff_overlaps_slow_device_compute() {
         let handshake = 10e-6;
         let m = matrix(2048, 178);
-        let fleet = k10_fleet(&m, 2);
+        let mut fleet = k10_fleet(&m, 2);
         let report = |t0: f64, t1: f64| FleetReport {
             per_device: vec![RunReport::default(); 2],
             compute: vec![t0, t1],
@@ -657,7 +682,7 @@ mod tests {
         let x: Vec<f64> = (0..m.cols()).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
         let want = m.spmv(&x);
         for n in [1usize, 2, 3, 5, 8] {
-            let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &FleetConfig::new(n));
+            let mut fleet = Fleet::new(&m, &presets::tesla_k10_single(), &FleetConfig::new(n));
             let mut y = vec![0.0; m.rows()];
             let rep = fleet.spmv(&x, &mut y);
             let d = sparse_formats::scalar::rel_l2_distance(&y, &want);
@@ -677,7 +702,7 @@ mod tests {
     fn halo_bytes_match_partition_bookkeeping() {
         let m = matrix(3000, 302);
         let cfg = FleetConfig::new(4);
-        let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &cfg);
+        let mut fleet = Fleet::new(&m, &presets::tesla_k10_single(), &cfg);
         let x = vec![1.0f64; m.cols()];
         let mut y = vec![0.0; m.rows()];
         let rep = fleet.spmv(&x, &mut y);
@@ -737,7 +762,7 @@ mod tests {
         t.push(1, 2, 2.0).unwrap();
         t.push(2, 0, 3.0).unwrap();
         let m = t.to_csr();
-        let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &FleetConfig::new(8));
+        let mut fleet = Fleet::new(&m, &presets::tesla_k10_single(), &FleetConfig::new(8));
         let x = vec![2.0f64; 3];
         let mut y = vec![0.0; 3];
         let rep = fleet.spmv(&x, &mut y);
@@ -749,7 +774,7 @@ mod tests {
     #[test]
     fn fleet_metrics_fold_halo_and_utilization() {
         let m = matrix(2000, 304);
-        let fleet = Fleet::new(&m, &presets::tesla_k10_single(), &FleetConfig::new(2));
+        let mut fleet = Fleet::new(&m, &presets::tesla_k10_single(), &FleetConfig::new(2));
         let x = vec![1.0f64; m.cols()];
         let mut y = vec![0.0; m.rows()];
         let rep = fleet.spmv(&x, &mut y);
@@ -793,7 +818,7 @@ mod tests {
         let m = t.to_csr();
         let mut cfg = FleetConfig::new(4);
         cfg.format = ShardFormat::Adaptive { horizon: 1000 };
-        let fleet = Fleet::new(&m, &presets::gtx_titan(), &cfg);
+        let mut fleet = Fleet::new(&m, &presets::gtx_titan(), &cfg);
         let mut distinct: Vec<&String> = fleet.formats().iter().filter(|f| *f != "-").collect();
         distinct.sort();
         distinct.dedup();

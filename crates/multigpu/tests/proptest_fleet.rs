@@ -87,7 +87,7 @@ proptest! {
             let mut base = None;
             for width in [1usize, 2, 4] {
                 set_sim_threads(width);
-                let fleet = Fleet::new(&m, &dev_cfg, &FleetConfig::new(n));
+                let mut fleet = Fleet::new(&m, &dev_cfg, &FleetConfig::new(n));
                 let mut y = vec![0.0f64; m.rows()];
                 let rep = fleet.spmv(&x, &mut y);
                 set_sim_threads(0);

@@ -23,6 +23,12 @@
 //! **bit-identical** — metadata, live elements, binning, and therefore
 //! every SpMV's values, counters and modeled timing — to a
 //! [`StreamEngine::build`] from scratch off the same logical matrix.
+//!
+//! Reads replay. Every structural change goes through
+//! [`StreamEngine::apply_batch`], which bumps the engine's `epoch` before
+//! it touches anything, so `(engine id, epoch)` names one structure and a
+//! read keyed by it plus its `x`/`y` buffers repeats an earlier read's
+//! launch accounting exactly (see [`GpuSpmv::spmv`] below).
 
 use crate::kernels::{copy_rows_kernel, merge_rows_kernel, plan_kernel, DeltaBuffers};
 use crate::layout::{slot_width, SlotLayout};
@@ -33,7 +39,12 @@ use gpu_sim::{Device, DeviceBuffer, RunReport};
 use sparse_formats::stats::bin_index;
 use sparse_formats::{CsrMatrix, Scalar, UpdateBatch};
 use spmv_kernels::{GpuSpmv, GpuSpmvMulti};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of process-unique engine ids (the engine part of a read's
+/// replay key).
+static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Growth factor for the element buffers when the canonical layout
 /// outgrows them.
@@ -70,6 +81,8 @@ pub struct BatchReport {
 /// Streaming ACSR maintenance engine. Wraps an [`AcsrEngine`] whose
 /// matrix it keeps in the canonical bin-arena layout.
 pub struct StreamEngine<T> {
+    /// Process-unique id, assigned at build.
+    id: u64,
     engine: AcsrEngine<T>,
     layout: SlotLayout,
     /// Allocated element-buffer length (may exceed `layout.total()` after
@@ -132,6 +145,7 @@ impl<T: Scalar> StreamEngine<T> {
         dev.record_htod("stream_build", mat.device_bytes());
         let engine = AcsrEngine::new(dev, mat, cfg);
         StreamEngine {
+            id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             engine,
             buf_capacity: layout.total(),
             layout,
@@ -148,7 +162,12 @@ impl<T: Scalar> StreamEngine<T> {
     }
 
     /// Apply one §VII update batch in place.
+    ///
+    /// Every batch, the empty one included, bumps [`Self::epoch`] before
+    /// it changes anything: reads replay per `(engine, epoch, x, y)`, so
+    /// no structural change may leave the epoch as it was.
     pub fn apply_batch(&mut self, dev: &Device, batch: &UpdateBatch<T>) -> BatchReport {
+        self.epoch += 1;
         let rows_n = self.engine.matrix().rows();
         batch
             .validate_for(rows_n, self.engine.matrix().cols())
@@ -411,8 +430,7 @@ impl<T: Scalar> StreamEngine<T> {
             debug_assert_eq!(mat.validate(), Ok(()));
         }
 
-        // --- 5. epoch, occupancy, ledger ---
-        self.epoch += 1;
+        // --- 5. occupancy, ledger ---
         self.layout = new_layout;
         let elem_bytes = (4 + T::BYTES) as u64;
         let mut events: Vec<BinEvent> = Vec::new();
@@ -625,12 +643,27 @@ impl<T: Scalar> GpuSpmv<T> for StreamEngine<T> {
     fn device_bytes(&self) -> u64 {
         self.engine.device_bytes()
     }
+    /// Runs inside a launch-replay scope ([`Device::replay_scope`])
+    /// keyed by the engine id, the epoch and the `x`/`y` base addresses
+    /// and lengths. Only [`StreamEngine::apply_batch`] changes the
+    /// structure, and it always bumps the epoch, so the first read of an
+    /// epoch on a buffer pair interprets fully and a repeat replays its
+    /// accounting with values recomputed.
     fn spmv(&self, dev: &Device, x: &DeviceBuffer<T>, y: &DeviceBuffer<T>) -> RunReport {
-        self.engine.spmv(dev, x, y)
+        let key = [
+            self.id,
+            self.epoch,
+            x.base_addr(),
+            x.len() as u64,
+            y.base_addr(),
+            y.len() as u64,
+        ];
+        dev.replay_scope(&key, || self.engine.spmv(dev, x, y))
     }
 }
 
 impl<T: Scalar> GpuSpmvMulti<T> for StreamEngine<T> {
+    /// Opens no replay scope: a batching caller keys its own.
     fn spmv_multi(
         &self,
         dev: &Device,

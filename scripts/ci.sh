@@ -64,9 +64,14 @@ echo "==> fleet smoke (repro fleet --quick)"
 test -s results/BENCH_fleet.json
 ./target/release/repro check-artifacts results/BENCH_fleet.json
 
-echo "==> streaming-maintenance smoke (repro stream --quick)"
+echo "==> streaming-maintenance smoke (repro stream --quick, default width and ACSR_SIM_THREADS=1 byte-identical)"
+stream_w1="$(mktemp)"
+ACSR_SIM_THREADS=1 ./target/release/repro stream --quick > /dev/null
+cp results/BENCH_stream.json "$stream_w1"
 ./target/release/repro stream --quick > /dev/null
 test -s results/BENCH_stream.json
+cmp "$stream_w1" results/BENCH_stream.json
+rm -f "$stream_w1"
 ./target/release/repro check-artifacts results/BENCH_stream.json
 
 echo "==> metrics smoke (repro metrics fig5, reconciliation enforced)"
