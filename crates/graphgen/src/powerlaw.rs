@@ -10,7 +10,7 @@
 use crate::sampling::{fit_alpha_for_mean, thin_tail_pmf, truncated_power_law_pmf, DiscreteAlias};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparse_formats::{CsrMatrix, Scalar, TripletMatrix};
+use sparse_formats::{CsrMatrix, Scalar};
 
 /// Row-degree distribution family.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -110,11 +110,17 @@ pub fn generate_power_law<T: Scalar>(cfg: &PowerLawConfig) -> CsrMatrix<T> {
         *d = max_degree;
     }
 
+    // Rows are emitted straight into CSR: each row's columns are
+    // distinct, so sorting its (col, value) pairs is the whole assembly.
     let est_nnz: usize = degrees.iter().sum();
-    let mut t = TripletMatrix::with_capacity(cfg.rows, cfg.cols, est_nnz);
+    let mut row_offsets = Vec::with_capacity(cfg.rows + 1);
+    let mut col_indices = Vec::with_capacity(est_nnz);
+    let mut values = Vec::with_capacity(est_nnz);
+    row_offsets.push(0u32);
     let mut row_cols: Vec<u32> = Vec::with_capacity(max_degree);
+    let mut row: Vec<(u32, T)> = Vec::with_capacity(max_degree);
     let mut seen = vec![false; cfg.cols];
-    for (r, &d) in degrees.iter().enumerate() {
+    for &d in &degrees {
         sample_distinct_columns(
             d,
             cfg.cols,
@@ -124,12 +130,19 @@ pub fn generate_power_law<T: Scalar>(cfg: &PowerLawConfig) -> CsrMatrix<T> {
             &mut row_cols,
             &mut seen,
         );
+        row.clear();
         for &c in &row_cols {
-            let v = T::from_f64(0.5 + rng.random::<f64>());
-            t.push_unchecked(r as u32, c, v);
+            row.push((c, T::from_f64(0.5 + rng.random::<f64>())));
         }
+        row.sort_unstable_by_key(|&(c, _)| c);
+        for &(c, v) in &row {
+            col_indices.push(c);
+            values.push(v);
+        }
+        row_offsets.push(col_indices.len() as u32);
     }
-    t.to_csr()
+    CsrMatrix::from_raw_parts(cfg.rows, cfg.cols, row_offsets, col_indices, values)
+        .expect("power-law rows are in shape with distinct columns")
 }
 
 /// Zipf weights over `n` outcomes with exponent `s`.

@@ -58,26 +58,57 @@ pub fn generate_rmat<T: Scalar>(cfg: &RmatConfig) -> CsrMatrix<T> {
     let n = 1usize << cfg.scale;
     let edges = n * cfg.edge_factor;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let quadrant = Quadrants::new(cfg.a, cfg.b, cfg.c);
     let mut t = TripletMatrix::with_capacity(n, n, edges);
     for _ in 0..edges {
-        let (mut r, mut c) = (0usize, 0usize);
-        for level in (0..cfg.scale).rev() {
-            let p: f64 = rng.random();
-            let (dr, dc) = if p < cfg.a {
-                (0, 0)
-            } else if p < cfg.a + cfg.b {
-                (0, 1)
-            } else if p < cfg.a + cfg.b + cfg.c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            r |= dr << level;
-            c |= dc << level;
-        }
-        t.push_unchecked(r as u32, c as u32, T::ONE);
+        let (r, c) = quadrant.descend(&mut rng, cfg.scale);
+        t.push_unchecked(r, c, T::ONE);
     }
     t.to_csr()
+}
+
+/// Branch-free R-MAT quadrant choice from the cumulative thresholds
+/// `a`, `a+b`, `a+b+c`, precomputed once.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Quadrants {
+    a: f64,
+    ab: f64,
+    abc: f64,
+}
+
+impl Quadrants {
+    pub(crate) fn new(a: f64, b: f64, c: f64) -> Self {
+        assert!(
+            a >= 0.0 && b >= 0.0 && c >= 0.0,
+            "quadrant probabilities must be non-negative"
+        );
+        let ab = a + b;
+        Quadrants { a, ab, abc: ab + c }
+    }
+
+    /// Quadrant index for a uniform draw `p`: 0 = (0,0), 1 = (0,1),
+    /// 2 = (1,0), 3 = (1,1). Non-negative probabilities make the
+    /// thresholds non-decreasing, so counting the ones `p` has passed
+    /// picks the same quadrant as the cascade
+    /// `if p < a {0} else if p < a+b {1} else if p < a+b+c {2} else {3}`,
+    /// with the same comparisons and no branches.
+    #[inline]
+    fn pick(&self, p: f64) -> u32 {
+        (p >= self.a) as u32 + (p >= self.ab) as u32 + (p >= self.abc) as u32
+    }
+
+    /// One edge: descend `levels` levels from the top bit, one uniform
+    /// draw per level.
+    #[inline]
+    pub(crate) fn descend<R: Rng>(&self, rng: &mut R, levels: u32) -> (u32, u32) {
+        let (mut r, mut c) = (0u32, 0u32);
+        for level in (0..levels).rev() {
+            let q = self.pick(rng.random());
+            r |= (q >> 1) << level;
+            c |= (q & 1) << level;
+        }
+        (r, c)
+    }
 }
 
 #[cfg(test)]

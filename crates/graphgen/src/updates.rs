@@ -6,9 +6,12 @@
 //! probability. The total number of non-zeros in the matrix is thus kept
 //! nearly constant."
 
+use crate::rmat::Quadrants;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparse_formats::{CsrMatrix, Scalar, UpdateBatch};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Parameters for [`generate_update_batch`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -178,23 +181,26 @@ pub fn generate_edge_stream<T: Scalar>(m: &CsrMatrix<T>, cfg: &ChurnConfig) -> V
     );
     let (rows, cols) = (m.rows(), m.cols());
     let levels = usize::max(rows, cols).next_power_of_two().trailing_zeros();
+    let quadrant = Quadrants::new(cfg.a, cfg.b, cfg.c);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // Live-edge state, kept in lockstep with the emitted batches.
     let mut adj: Vec<Vec<u32>> = (0..rows).map(|r| m.row(r).0.to_vec()).collect();
-    let mut edges: Vec<(u32, u32)> = (0..rows as u32)
-        .flat_map(|r| {
-            m.row(r as usize)
-                .0
-                .iter()
-                .map(move |&c| (r, c))
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    // Room for every insert the stream can make, so the edge list does
+    // not reallocate mid-stream; capped at doubling, which one
+    // reallocation would do anyway.
+    let max_ops = (cfg.updates_per_sec * cfg.horizon_s).round() as usize;
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m.nnz() + max_ops.min(m.nnz()));
+    for r in 0..rows {
+        edges.extend(m.row(r).0.iter().map(|&c| (r as u32, c)));
+    }
 
     let mut out = Vec::new();
     let mut emitted = 0u64;
     let mut k = 0u64;
+    // packed (row, col) -> (existed before this batch, net op)
+    let mut pending: HashMap<u64, (bool, Pending<T>), BuildPackedHasher> = HashMap::default();
+    let mut folded: Vec<(u64, Pending<T>)> = Vec::new();
     loop {
         let t = (k + 1) as f64 * cfg.batch_interval_s;
         if t > cfg.horizon_s + 1e-12 {
@@ -205,9 +211,7 @@ pub fn generate_edge_stream<T: Scalar>(m: &CsrMatrix<T>, cfg: &ChurnConfig) -> V
         let ops = (due - emitted) as usize;
         emitted = due;
 
-        // (row, col) -> (existed before this batch, net op)
-        let mut pending: std::collections::BTreeMap<(u32, u32), (bool, Pending<T>)> =
-            std::collections::BTreeMap::new();
+        pending.clear();
         for _ in 0..ops {
             let mut insert = rng.random::<f64>() < cfg.insert_fraction || edges.is_empty();
             if insert {
@@ -216,21 +220,7 @@ pub fn generate_edge_stream<T: Scalar>(m: &CsrMatrix<T>, cfg: &ChurnConfig) -> V
                     // R-MAT quadrant descent, same recursion as the
                     // static generator, rejecting out-of-shape and live
                     // edges.
-                    let (mut r, mut c) = (0u32, 0u32);
-                    for level in (0..levels).rev() {
-                        let p: f64 = rng.random();
-                        let (dr, dc) = if p < cfg.a {
-                            (0, 0)
-                        } else if p < cfg.a + cfg.b {
-                            (0, 1)
-                        } else if p < cfg.a + cfg.b + cfg.c {
-                            (1, 0)
-                        } else {
-                            (1, 1)
-                        };
-                        r |= dr << level;
-                        c |= dc << level;
-                    }
+                    let (r, c) = quadrant.descend(&mut rng, levels);
                     if r as usize >= rows || c as usize >= cols {
                         continue;
                     }
@@ -240,8 +230,9 @@ pub fn generate_edge_stream<T: Scalar>(m: &CsrMatrix<T>, cfg: &ChurnConfig) -> V
                         edges.push((r, c));
                         // first touch of a currently-dead edge means it
                         // was dead pre-batch too
-                        let existed = pending.get(&(r, c)).map(|e| e.0).unwrap_or(false);
-                        pending.insert((r, c), (existed, Pending::Insert(val)));
+                        let key = pack(r, c);
+                        let existed = pending.get(&key).map(|e| e.0).unwrap_or(false);
+                        pending.insert(key, (existed, Pending::Insert(val)));
                         placed = true;
                         break;
                     }
@@ -260,27 +251,34 @@ pub fn generate_edge_stream<T: Scalar>(m: &CsrMatrix<T>, cfg: &ChurnConfig) -> V
                     .binary_search(&c)
                     .expect("edge list and adjacency must agree");
                 adj[r as usize].remove(pos);
-                match pending.get(&(r, c)).map(|e| e.0) {
+                let key = pack(r, c);
+                match pending.get(&key).map(|e| e.0) {
                     Some(false) => {
                         // inserted earlier this batch: net no-op
-                        pending.remove(&(r, c));
+                        pending.remove(&key);
                     }
                     Some(true) | None => {
-                        pending.insert((r, c), (true, Pending::Delete));
+                        pending.insert(key, (true, Pending::Delete));
                     }
                 }
             }
         }
 
-        // Fold the pending map (sorted by row, then col) into the wire
-        // format. An edge that was live pre-batch and is live again after
-        // a delete→reinsert chain is a structural no-op; dropping it keeps
-        // the invariant that every emitted insert targets a dead edge and
-        // every emitted delete targets a live one.
-        pending.retain(|_, entry| !matches!(entry, (true, Pending::Insert(_))));
+        // Fold the pending map, sorted by row then col (the packed key's
+        // order), into the wire format. An edge that was live pre-batch
+        // and is live again after a delete→reinsert chain is a structural
+        // no-op; dropping it keeps the invariant that every emitted insert
+        // targets a dead edge and every emitted delete targets a live one.
+        folded.clear();
+        folded.extend(pending.drain().filter_map(|(key, entry)| match entry {
+            (true, Pending::Insert(_)) => None,
+            (_, op) => Some((key, op)),
+        }));
+        folded.sort_unstable_by_key(|&(key, _)| key);
         let mut batch = UpdateBatch::<T>::empty();
         let mut cur_row: Option<u32> = None;
-        for (&(r, c), entry) in &pending {
+        for &(key, ref op) in &folded {
+            let (r, c) = unpack(key);
             if cur_row != Some(r) {
                 if cur_row.is_some() {
                     batch.delete_offsets.push(batch.delete_cols.len() as u32);
@@ -289,12 +287,12 @@ pub fn generate_edge_stream<T: Scalar>(m: &CsrMatrix<T>, cfg: &ChurnConfig) -> V
                 batch.rows.push(r);
                 cur_row = Some(r);
             }
-            match entry {
-                (_, Pending::Insert(v)) => {
+            match op {
+                Pending::Insert(v) => {
                     batch.insert_cols.push(c);
                     batch.insert_vals.push(*v);
                 }
-                (_, Pending::Delete) => batch.delete_cols.push(c),
+                Pending::Delete => batch.delete_cols.push(c),
             }
         }
         if cur_row.is_some() {
@@ -310,6 +308,40 @@ pub fn generate_edge_stream<T: Scalar>(m: &CsrMatrix<T>, cfg: &ChurnConfig) -> V
     }
     out
 }
+
+/// `(row, col)` packed so that key order is row-major order.
+fn pack(r: u32, c: u32) -> u64 {
+    (r as u64) << 32 | c as u64
+}
+
+fn unpack(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
+/// Hasher for packed `(row, col)` keys: one folded 64×64→128-bit
+/// multiply, which mixes both halves into the low bits the table indexes
+/// by. The keys are generator-internal, so no DoS resistance is needed.
+#[derive(Default)]
+struct PackedHasher(u64);
+
+impl Hasher for PackedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 << 8 | b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let wide = key as u128 * 0x9E37_79B9_7F4A_7C15u128;
+        self.0 = (wide as u64) ^ (wide >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type BuildPackedHasher = BuildHasherDefault<PackedHasher>;
 
 #[cfg(test)]
 mod tests {

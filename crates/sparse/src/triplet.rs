@@ -11,7 +11,8 @@ use crate::scalar::Scalar;
 /// Unsorted coordinate-triplet accumulator.
 ///
 /// Duplicate `(row, col)` entries are *summed* during [`Self::to_csr`],
-/// matching the usual Matrix Market assembly convention.
+/// in insertion order, matching the usual Matrix Market assembly
+/// convention.
 #[derive(Clone, Debug)]
 pub struct TripletMatrix<T> {
     rows: usize,
@@ -85,35 +86,71 @@ impl<T: Scalar> TripletMatrix<T> {
         &self.entries
     }
 
-    /// Convert to CSR: sort row-major, merge duplicates by summation.
-    pub fn to_csr(mut self) -> CsrMatrix<T> {
-        // Sort by (row, col). Unstable sort is fine: duplicate coordinates
-        // are merged by *addition*, which is order-insensitive up to float
-        // rounding.
-        self.entries.sort_unstable_by_key(|a| (a.0, a.1));
-        // Merge duplicates in place.
-        let mut merged: Vec<(u32, u32, T)> = Vec::with_capacity(self.entries.len());
-        for (r, c, v) in self.entries {
-            match merged.last_mut() {
-                Some(last) if last.0 == r && last.1 == c => last.2 += v,
-                _ => merged.push((r, c, v)),
-            }
-        }
-        let nnz = merged.len();
-        let mut row_offsets = vec![0u32; self.rows + 1];
-        for &(r, _, _) in &merged {
+    /// Convert to CSR: a counting sort by row, then a sort of each row by
+    /// column. Duplicate `(row, col)` entries are summed in insertion
+    /// order (`((v0 + v1) + v2) + ...`), so the result does not depend on
+    /// any sort's tie-breaking.
+    pub fn to_csr(self) -> CsrMatrix<T> {
+        let TripletMatrix {
+            rows,
+            cols,
+            entries,
+        } = self;
+        let mut row_offsets = vec![0u32; rows + 1];
+        for &(r, _, _) in &entries {
             row_offsets[r as usize + 1] += 1;
         }
-        for i in 0..self.rows {
+        for i in 0..rows {
             row_offsets[i + 1] += row_offsets[i];
         }
-        let mut col_indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for (_, c, v) in merged {
-            col_indices.push(c);
-            values.push(v);
+        // Scatter into row buckets; a stable pass, so each row keeps its
+        // entries in insertion order.
+        let mut next = row_offsets[..rows].to_vec();
+        let mut by_row = vec![(0u32, T::ZERO); entries.len()];
+        for (r, c, v) in entries {
+            let slot = &mut next[r as usize];
+            by_row[*slot as usize] = (c, v);
+            *slot += 1;
         }
-        CsrMatrix::from_raw_parts(self.rows, self.cols, row_offsets, col_indices, values)
+        drop(next);
+        // Sort each row by column and merge duplicates, rewriting
+        // `row_offsets` to the merged counts as rows complete. A row that
+        // is not already strictly increasing is ordered through packed
+        // `col << 32 | position` keys: they are distinct, so an unstable
+        // sort keeps equal columns in insertion order.
+        let mut col_indices = Vec::with_capacity(by_row.len());
+        let mut values: Vec<T> = Vec::with_capacity(by_row.len());
+        let mut keys: Vec<u64> = Vec::new();
+        let mut lo = 0usize;
+        for r in 0..rows {
+            let hi = row_offsets[r + 1] as usize;
+            let row = &by_row[lo..hi];
+            if row.windows(2).all(|w| w[0].0 < w[1].0) {
+                col_indices.extend(row.iter().map(|&(c, _)| c));
+                values.extend(row.iter().map(|&(_, v)| v));
+            } else {
+                keys.clear();
+                keys.extend(
+                    row.iter()
+                        .enumerate()
+                        .map(|(j, &(c, _))| (c as u64) << 32 | j as u64),
+                );
+                keys.sort_unstable();
+                let start = col_indices.len();
+                for &key in &keys {
+                    let (c, v) = ((key >> 32) as u32, row[key as u32 as usize].1);
+                    if col_indices.len() > start && col_indices.last() == Some(&c) {
+                        *values.last_mut().expect("values track col_indices") += v;
+                    } else {
+                        col_indices.push(c);
+                        values.push(v);
+                    }
+                }
+            }
+            row_offsets[r + 1] = col_indices.len() as u32;
+            lo = hi;
+        }
+        CsrMatrix::from_raw_parts(rows, cols, row_offsets, col_indices, values)
             .expect("triplet assembly produced invalid CSR (internal bug)")
     }
 }

@@ -88,6 +88,12 @@ test -s results/TIMELINE_serve.json
 echo "==> fig8 reproduction gate (stdout vs committed results/fig8_scale16.txt)"
 ./target/release/repro fig8 --scale 16 | diff results/fig8_scale16.txt -
 
+echo "==> Table I reproduction gate (stdout vs committed results/table1.txt)"
+./target/release/repro table1 | diff results/table1.txt -
+
+echo "==> Fig 3 reproduction gate (stdout vs committed results/fig3.txt)"
+./target/release/repro fig3 | diff results/fig3.txt -
+
 echo "==> perf-regression gate (bench-diff vs committed baseline)"
 ./target/release/repro bench-diff baselines/PROFILE_fig5_ci.json results/PROFILE_fig5.json
 

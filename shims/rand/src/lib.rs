@@ -93,13 +93,20 @@ macro_rules! uniform_int {
                 hi: Self,
                 inclusive: bool,
             ) -> Self {
-                // Widened arithmetic so `0..u64::MAX`-style spans can't
-                // overflow; modulo bias is irrelevant at test scale.
-                let span = (hi as $wide).wrapping_sub(lo as $wide) as u128
-                    + if inclusive { 1 } else { 0 };
-                assert!(span > 0, "cannot sample from an empty range");
-                let offset = (rng.next_u64() as u128 % span) as $wide;
-                ((lo as $wide).wrapping_add(offset)) as $t
+                // `offset = next_u64() mod span` (modulo bias is
+                // irrelevant at test scale). `diff` is `hi - lo` as an
+                // unsigned 64-bit difference, so the span fits in u64
+                // except for a full inclusive 64-bit range (span 2^64),
+                // where the reduction is the identity.
+                let diff = (hi as $wide).wrapping_sub(lo as $wide) as u64;
+                let offset = if inclusive && diff == u64::MAX {
+                    rng.next_u64()
+                } else {
+                    let span = diff + inclusive as u64;
+                    assert!(span > 0, "cannot sample from an empty range");
+                    rng.next_u64() % span
+                };
+                ((lo as $wide).wrapping_add(offset as $wide)) as $t
             }
         }
     )*};
@@ -268,6 +275,60 @@ mod tests {
             assert!(w <= 4);
             let f = rng.random_range(-2.0f64..2.0);
             assert!((-2.0..2.0).contains(&f));
+        }
+    }
+
+    /// The u128 reduction `lo + next_u64() mod (hi - lo + 1)` over an
+    /// inclusive `[lo, hi]`, in exact 128-bit arithmetic.
+    fn reference(x: u64, lo: i128, hi: i128) -> i128 {
+        let span = (hi - lo + 1) as u128;
+        lo + (x as u128 % span) as i128
+    }
+
+    #[test]
+    fn u64_reduction_matches_the_u128_formula() {
+        const P32: u64 = 1 << 32;
+        const P63: u64 = 1 << 63;
+        // (lo, hi) inclusive, as spans 1, 2, 2^32, 2^63, 2^64 - 1, 2^64
+        let u64_ranges: [(u64, u64); 7] = [
+            (9, 9),
+            (0, 1),
+            (5, 5 + P32 - 1),
+            (0, P63 - 1),
+            (7, 7 + P63 - 1),
+            (0, u64::MAX - 1),
+            (0, u64::MAX),
+        ];
+        let i64_ranges: [(i64, i64); 8] = [
+            (-3, -3),
+            (-1, 0),
+            (-(P32 as i64), -1),
+            (i64::MIN, -1),
+            (i64::MIN + 1, 0),
+            (i64::MIN, i64::MAX - 1),
+            (i64::MIN + 1, i64::MAX),
+            (i64::MIN, i64::MAX),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for _ in 0..500 {
+            for &(lo, hi) in &u64_ranges {
+                let x = rng.clone().next_u64();
+                let want = reference(x, lo as i128, hi as i128);
+                if hi < u64::MAX {
+                    let half_open = rng.clone().random_range(lo..hi + 1);
+                    assert_eq!(half_open as i128, want, "{lo}..{}", hi + 1);
+                }
+                assert_eq!(rng.random_range(lo..=hi) as i128, want, "{lo}..={hi}");
+            }
+            for &(lo, hi) in &i64_ranges {
+                let x = rng.clone().next_u64();
+                let want = reference(x, lo as i128, hi as i128);
+                if hi < i64::MAX {
+                    let half_open = rng.clone().random_range(lo..hi + 1);
+                    assert_eq!(half_open as i128, want, "{lo}..{}", hi + 1);
+                }
+                assert_eq!(rng.random_range(lo..=hi) as i128, want, "{lo}..={hi}");
+            }
         }
     }
 
